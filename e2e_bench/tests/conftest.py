@@ -1,0 +1,12 @@
+"""Put the benchmark package and the program on the import path.
+
+Run with ``python3 -m pytest e2e_bench/tests`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
