@@ -7,8 +7,9 @@ export PYTHONPATH := src
 
 COVERAGE_FLOOR := $(shell cat .coverage-floor 2>/dev/null || echo 0)
 
-.PHONY: check test test-fast differential quality quality-fixtures \
-	audit audit-fixtures perf trace-smoke whatif-smoke coverage
+.PHONY: check test test-fast differential e2e-contract quality \
+	quality-fixtures audit audit-fixtures perf trace-smoke whatif-smoke \
+	coverage
 
 check:
 	$(PYTHON) -m repro.cli selfcheck
@@ -25,6 +26,12 @@ test-fast:
 # sweep. CI runs this as its own named step.
 differential:
 	$(PYTHON) -m pytest -x -q tests/differential
+
+# Contract tests of the end-to-end benchmark harness (e2e_bench/):
+# workload pins, measure definitions, tracing. They live outside the
+# tier-1 testpaths, so this target (and its CI step) is what runs them.
+e2e-contract:
+	$(PYTHON) -m pytest -x -q e2e_bench/tests
 
 quality:
 	$(PYTHON) -m repro.cli quality --check --baseline .quality-baseline.json

@@ -22,7 +22,7 @@ from repro.algorithms import (
     stats,
 )
 from repro.core.benchmark import BenchmarkCore
-from repro.core.cost import ClusterSpec, CostMeter, RunProfile
+from repro.core.cost import ClusterSpec, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
 from repro.core.report import ReportGenerator
 from repro.core.validation import OutputValidator
@@ -55,8 +55,9 @@ class ToyPlatform(Platform):
     ) -> tuple[object, RunProfile]:
         graph = handle.graph
         # Step 4 — log the information required for reporting: the
-        # meter records rounds, work, and memory for the harness.
-        meter = CostMeter(self.cluster)
+        # meter records rounds, work, and memory for the harness (the
+        # base class's run meter also carries its faults and sinks).
+        meter = self._run_meter()
         meter.allocate_memory(0, handle.storage_bytes)
         meter.charge_startup()
         meter.begin_round(algorithm.value.lower())

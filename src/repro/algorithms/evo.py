@@ -30,17 +30,20 @@ which is what lets the Output Validator check EVO results exactly.
 from __future__ import annotations
 
 import hashlib
-
+from typing import Iterable
 
 from repro.graph.graph import Graph
 
 __all__ = [
     "forest_fire_evolution",
     "forest_fire_links",
+    "evo_arrivals",
+    "transpose_burns",
     "ambassador_for",
     "burn_budget",
     "burn_victims",
     "single_fire",
+    "fire_from",
 ]
 
 #: Default forward burning probability from the paper's model.
@@ -67,6 +70,40 @@ def ambassador_for(seed: int, new_vertex: int, existing: list[int]) -> int:
         raise ValueError("cannot pick an ambassador in an empty graph")
     index = int(_hash_fraction(seed, new_vertex, 0xA3BA55AD) * len(existing))
     return existing[min(index, len(existing) - 1)]
+
+
+def evo_arrivals(
+    existing: list[int], num_new_vertices: int, seed: int
+) -> dict[int, int]:
+    """The arrivals of one EVO run: ``{new_vertex: ambassador}``.
+
+    New ids continue after the largest of the sorted ``existing`` ids.
+    The reference and every platform derive their arrivals here.
+    """
+    if num_new_vertices < 0:
+        raise ValueError("num_new_vertices must be >= 0")
+    if not existing:
+        raise ValueError("cannot evolve an empty graph")
+    next_id = existing[-1] + 1
+    return {
+        arrival: ambassador_for(seed, arrival, existing)
+        for arrival in range(next_id, next_id + num_new_vertices)
+    }
+
+
+def transpose_burns(
+    arrivals: Iterable[int], burns: Iterable[tuple[int, Iterable[int]]]
+) -> dict[int, list[int]]:
+    """EVO output from ``(vertex, arrivals that burned it)`` pairs.
+
+    Transposes the vertex-centric view the distributed platforms
+    compute into the reference's ``{new_vertex: [targets]}`` mapping.
+    """
+    links: dict[int, list[int]] = {arrival: [] for arrival in arrivals}
+    for vertex, burned_by in burns:
+        for arrival in burned_by:
+            links[arrival].append(vertex)
+    return {arrival: sorted(targets) for arrival, targets in links.items()}
 
 
 def burn_budget(seed: int, new_vertex: int, at_vertex: int, p_forward: float) -> int:
@@ -125,7 +162,25 @@ def single_fire(
     global burned set — so the specification adopts it, keeping the
     reference and every distributed implementation byte-identical.
     """
-    ambassador = ambassador_for(seed, new_vertex, existing)
+    return fire_from(
+        adjacency,
+        ambassador_for(seed, new_vertex, existing),
+        new_vertex,
+        p_forward,
+        max_hops,
+        seed,
+    )
+
+
+def fire_from(
+    adjacency: dict[int, list[int]] | dict[int, set[int]],
+    ambassador: int,
+    new_vertex: int,
+    p_forward: float,
+    max_hops: int,
+    seed: int,
+) -> list[int]:
+    """:func:`single_fire` with the ambassador already chosen."""
     burned = {ambassador}
     frontier = [ambassador]
     depth = 0
@@ -155,19 +210,13 @@ def forest_fire_links(
     New vertex ids continue after the current maximum id. This mapping
     is the EVO algorithm's validated output.
     """
-    if num_new_vertices < 0:
-        raise ValueError("num_new_vertices must be >= 0")
-    undirected = graph.to_undirected()
-    if undirected.num_vertices == 0:
-        raise ValueError("cannot evolve an empty graph")
-    adjacency = undirected.adjacency()
-    existing = sorted(adjacency)
-    next_id = existing[-1] + 1
+    adjacency = graph.to_undirected().adjacency()
+    arrivals = evo_arrivals(sorted(adjacency), num_new_vertices, seed)
     return {
-        next_id + arrival: single_fire(
-            adjacency, existing, next_id + arrival, p_forward, max_hops, seed
+        arrival: fire_from(
+            adjacency, ambassador, arrival, p_forward, max_hops, seed
         )
-        for arrival in range(num_new_vertices)
+        for arrival, ambassador in arrivals.items()
     }
 
 

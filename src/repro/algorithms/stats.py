@@ -23,6 +23,19 @@ class GraphStats:
     num_edges: int
     mean_local_clustering: float
 
+    @classmethod
+    def from_clustering_sum(
+        cls, num_vertices: int, num_edges: int, clustering_sum: float
+    ) -> "GraphStats":
+        """The record from the summed local clustering coefficients."""
+        return cls(
+            num_vertices=num_vertices,
+            num_edges=num_edges,
+            mean_local_clustering=(
+                clustering_sum / num_vertices if num_vertices else 0.0
+            ),
+        )
+
 
 def stats(graph: Graph) -> GraphStats:
     """Compute vertex count, edge count, and mean local clustering.

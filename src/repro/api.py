@@ -35,7 +35,6 @@ def run_benchmark(
     validate: bool = True,
     time_limit_seconds: float | None = None,
     mem_limit_bytes: float | None = None,
-    timeout_seconds: float | None = None,
     fault_plan: "FaultPlan | str | None" = None,
     max_retries: int = 0,
 ) -> BenchmarkSuiteResult:
@@ -67,9 +66,6 @@ def run_benchmark(
         the fleet; too-large graphs record deterministic
         ``FAILED(out-of-memory)`` cells (the paper's Figure 4
         missing values).
-    timeout_seconds:
-        Typed per-run budget enforced inside the driver API
-        (``timeout`` failure cells).
     fault_plan:
         A :class:`~repro.robustness.faults.FaultPlan` or its CLI spec
         string (e.g. ``"crash:worker=2,round=5"``); seeded fault
@@ -100,7 +96,6 @@ def run_benchmark(
         graph_map,
         validator=OutputValidator() if validate else None,
         time_limit_seconds=time_limit_seconds,
-        timeout_seconds=timeout_seconds,
         fault_plan=fault_plan,
         max_retries=max_retries,
     )

@@ -35,9 +35,10 @@ command implements that workflow:
 
 ``run`` also exposes the deterministic failure envelope: ``--mem-limit``
 caps every worker's simulated memory (reproducing the paper's
-out-of-memory failure cells), ``--timeout`` sets a typed per-run
-budget, and ``--inject`` activates seeded fault injection
-(stragglers, worker crashes, message loss) with bounded ``--retries``.
+out-of-memory failure cells), ``--time-limit`` sets the per-run
+simulated-seconds budget (``T/O`` cells), and ``--inject`` activates
+seeded fault injection (stragglers, worker crashes, message loss)
+with bounded ``--retries``.
 """
 
 from __future__ import annotations
@@ -128,9 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="per-worker simulated memory cap, e.g. 512M or "
                      "2G; platforms whose footprint exceeds it record "
                      "deterministic FAILED(OOM) cells")
-    run.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                     help="typed per-run simulated timeout budget "
-                     "(records FAILED(timeout) cells)")
     run.add_argument("--inject", default=None, metavar="SPEC",
                      help="fault-injection plan, e.g. "
                      "'straggler:workers=0,factor=4;crash:worker=2,round=5;"
@@ -149,9 +147,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      "(inspect with 'graphalytics trace', compare with "
                      "'graphalytics analyze')")
     run.add_argument("--graph-store", default=None, metavar="DIR",
-                     help="content-addressed .npy graph store for parallel "
-                     "runs: workers mmap shared pages instead of "
-                     "unpickling private graph copies")
+                     help="keep the content-addressed .npy graph store "
+                     "that parallel runs' workers mmap in DIR (default: "
+                     "a temporary directory per run)")
     run.add_argument("--no-validate", action="store_true",
                      help="skip output validation")
     run.add_argument("--repetitions", type=int, default=None, metavar="N",
@@ -481,7 +479,6 @@ def _command_run(args: argparse.Namespace) -> int:
         graphs,
         validator=OutputValidator() if validate else None,
         time_limit_seconds=time_limit,
-        timeout_seconds=args.timeout,
         fault_plan=fault_plan,
         max_retries=args.retries,
         retry_backoff_seconds=args.retry_backoff,
@@ -500,8 +497,6 @@ def _command_run(args: argparse.Namespace) -> int:
         configuration["warmup"] = str(spec.warmup_runs)
     if mem_limit is not None:
         configuration["mem-limit"] = f"{int(mem_limit)} bytes/worker"
-    if args.timeout is not None:
-        configuration["timeout"] = f"{args.timeout} s"
     if fault_plan is not None:
         configuration["inject"] = args.inject
     if args.trace:

@@ -12,7 +12,9 @@ generator and results database.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import random
+import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -155,12 +157,9 @@ class BenchmarkCore:
     time_limit_seconds:
         Simulated-runtime budget per execution, checked by the core
         after the run completes; runs exceeding it are recorded as
-        ``time-limit`` failures (the paper's "due to time constraints,
-        MapReduce was not able to complete some algorithms").
-    timeout_seconds:
-        Per-run budget enforced *inside* the driver API: exceeding it
-        raises a typed :class:`~repro.core.errors.SimulatedTimeout`,
-        recorded as a ``timeout`` failure cell.
+        ``time-limit`` failures, reported as ``T/O`` (the paper's "due
+        to time constraints, MapReduce was not able to complete some
+        algorithms").
     fault_plan:
         Optional :class:`~repro.robustness.faults.FaultPlan`; a fresh
         seeded injector is bound per (platform, graph, algorithm)
@@ -185,13 +184,12 @@ class BenchmarkCore:
         observe-only: recorded profiles are bit-identical with or
         without it.
     graph_store:
-        When set, parallel runs (``run(parallel=n)``) persist each
-        distinct graph once into this directory (content-addressed,
-        ``.npy`` arrays) and ship pool workers the *path*; workers
-        memory-map the arrays, sharing OS pages instead of each
-        unpickling a full copy of the graph. Without it, workers
-        receive pickled graphs as before. Results are identical
-        either way.
+        Directory for the graph store of parallel runs
+        (``run(parallel=n)``): each distinct graph is saved once
+        (content-addressed ``.npy`` arrays) and pool workers receive
+        its *path*, memory-mapping the arrays so they share OS pages
+        instead of each holding a private copy. Without it the store
+        lives in a temporary directory for the duration of the run.
     """
 
     def __init__(
@@ -200,7 +198,6 @@ class BenchmarkCore:
         graphs: dict[str, Graph],
         validator: OutputValidator | None = None,
         time_limit_seconds: float | None = None,
-        timeout_seconds: float | None = None,
         fault_plan: FaultPlan | None = None,
         max_retries: int = 0,
         retry_backoff_seconds: float = 1.0,
@@ -217,7 +214,6 @@ class BenchmarkCore:
         self.graphs = graphs
         self.validator = validator
         self.time_limit_seconds = time_limit_seconds
-        self.timeout_seconds = timeout_seconds
         self.fault_plan = fault_plan
         self.max_retries = max_retries
         self.retry_backoff_seconds = retry_backoff_seconds
@@ -276,41 +272,47 @@ class BenchmarkCore:
                     self._run_pair(platform, graph_name, graph, spec)
                 )
             return suite
-        # With a graph store configured, persist each distinct graph
-        # once and ship workers the path; they mmap the arrays and
-        # share pages instead of unpickling private copies.
-        graph_paths: dict[Graph, str] = {}
-        if self.graph_store is not None:
+        with contextlib.ExitStack() as scope:
+            # Each distinct graph is persisted once and workers get its
+            # path; they mmap the arrays and share pages instead of
+            # unpickling private copies. Without a configured store the
+            # entries live in a temporary directory for this run.
+            store = self.graph_store or Path(
+                scope.enter_context(
+                    tempfile.TemporaryDirectory(prefix="graph-store-")
+                )
+            )
+            graph_paths: dict[Graph, str] = {}
             for _platform, _name, graph in pairs:
                 if graph not in graph_paths:
-                    entry = self.graph_store / graph.content_key()
+                    entry = store / graph.content_key()
                     if not (entry / "meta.json").is_file():
                         graph.save(entry)
                     graph_paths[graph] = str(entry)
-        tasks = [
-            _PairTask(
-                platform=platform,
-                graph_name=graph_name,
-                graph=None if graph in graph_paths else graph,
-                graph_path=graph_paths.get(graph),
-                validator=self.validator,
-                time_limit_seconds=self.time_limit_seconds,
-                timeout_seconds=self.timeout_seconds,
-                fault_plan=self.fault_plan,
-                max_retries=self.max_retries,
-                retry_backoff_seconds=self.retry_backoff_seconds,
-                strict=self.strict,
-                spec=spec,
-                trace_dir=self.trace_dir,
-            )
-            for platform, graph_name, graph in pairs
-        ]
-        workers = min(parallel, len(tasks))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            # ``map`` yields in submission order: results merge in
-            # spec order no matter which worker finishes first.
-            for results in pool.map(_run_pair_task, tasks):
-                suite.results.extend(results)
+            tasks = [
+                _PairTask(
+                    platform=platform,
+                    graph_name=graph_name,
+                    graph_path=graph_paths[graph],
+                    validator=self.validator,
+                    time_limit_seconds=self.time_limit_seconds,
+                    fault_plan=self.fault_plan,
+                    max_retries=self.max_retries,
+                    retry_backoff_seconds=self.retry_backoff_seconds,
+                    strict=self.strict,
+                    spec=spec,
+                    trace_dir=self.trace_dir,
+                )
+                for platform, graph_name, graph in pairs
+            ]
+            workers = min(parallel, len(tasks))
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers
+            ) as pool:
+                # ``map`` yields in submission order: results merge in
+                # spec order no matter which worker finishes first.
+                for results in pool.map(_run_pair_task, tasks):
+                    suite.results.extend(results)
         return suite
 
     def _run_pair(
@@ -328,8 +330,6 @@ class BenchmarkCore:
         # never leaks from one combination into the next, and ETL runs
         # fault-free (faults target algorithm executions).
         platform.faults = None
-        if self.timeout_seconds is not None:
-            platform.timeout_seconds = self.timeout_seconds
         supported = set(platform.supported_algorithms())
         results: list[BenchmarkResult] = []
         handle = None
@@ -544,18 +544,15 @@ class _PairTask:
 
     Everything a child process needs to run the pair exactly as the
     sequential loop would; module-level (with the worker function) so
-    the payload pickles under every start method. Exactly one of
-    ``graph`` (pickled payload) and ``graph_path`` (mmap-shared store
-    entry) is set.
+    the payload pickles under every start method. The graph travels as
+    ``graph_path``, a graph-store entry the worker memory-maps.
     """
 
     platform: Platform
     graph_name: str
-    graph: Graph | None
-    graph_path: str | None
+    graph_path: str
     validator: OutputValidator | None
     time_limit_seconds: float | None
-    timeout_seconds: float | None
     fault_plan: FaultPlan | None
     max_retries: int
     retry_backoff_seconds: float
@@ -573,15 +570,12 @@ def _run_pair_task(task: _PairTask) -> list[BenchmarkResult]:
     work unit instead of surfacing a bare traceback from an anonymous
     worker process.
     """
-    graph = task.graph
-    if graph is None:
-        graph = Graph.load(task.graph_path, mmap=True)
+    graph = Graph.load(task.graph_path, mmap=True)
     core = BenchmarkCore(
         [task.platform],
         {task.graph_name: graph},
         validator=task.validator,
         time_limit_seconds=task.time_limit_seconds,
-        timeout_seconds=task.timeout_seconds,
         fault_plan=task.fault_plan,
         max_retries=task.max_retries,
         retry_backoff_seconds=task.retry_backoff_seconds,

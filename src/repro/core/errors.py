@@ -6,7 +6,6 @@ __all__ = [
     "GraphalyticsError",
     "PlatformFailure",
     "SimulatedOOM",
-    "SimulatedTimeout",
     "SuiteWorkerError",
     "ValidationFailure",
     "ConfigurationError",
@@ -62,26 +61,6 @@ class SimulatedOOM(PlatformFailure):
 
     def __init__(self, platform: str, detail: str = ""):
         super().__init__(platform, "out-of-memory", detail)
-
-
-class SimulatedTimeout(PlatformFailure):
-    """An algorithm run exceeded its simulated-runtime budget.
-
-    The typed form of the paper's time-limit failures ("due to time
-    constraints, MapReduce was not able to complete some algorithms").
-    """
-
-    def __init__(
-        self, platform: str, simulated_seconds: float, budget_seconds: float
-    ):
-        self.simulated_seconds = simulated_seconds
-        self.budget_seconds = budget_seconds
-        super().__init__(
-            platform,
-            "timeout",
-            f"simulated {simulated_seconds:.1f} s exceeds the "
-            f"{budget_seconds:.1f} s budget",
-        )
 
 
 class SuiteWorkerError(GraphalyticsError):

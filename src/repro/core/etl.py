@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro.core.cost import ClusterSpec
 
 __all__ = [
+    "distributed_load_seconds",
     "edge_file_bytes",
     "distributed_read_seconds",
     "parse_seconds",
@@ -52,6 +53,26 @@ def partition_shuffle_seconds(num_bytes: float, spec: ClusterSpec) -> float:
         return 0.0
     remote = num_bytes * (spec.num_workers - 1) / spec.num_workers
     return remote / (spec.num_workers * spec.network_bandwidth)
+
+
+def distributed_load_seconds(
+    num_edges: int,
+    parse_records: float,
+    ops_per_record: float,
+    storage_bytes: float,
+    spec: ClusterSpec,
+) -> float:
+    """Startup, parallel read, parse, and the partition shuffle.
+
+    The load of the in-memory distributed platforms: ``parse_records``
+    parsed records build a ``storage_bytes`` representation.
+    """
+    return (
+        spec.startup_seconds
+        + distributed_read_seconds(edge_file_bytes(num_edges), spec)
+        + parse_seconds(parse_records, ops_per_record, spec)
+        + partition_shuffle_seconds(storage_bytes, spec)
+    )
 
 
 def replicated_write_seconds(

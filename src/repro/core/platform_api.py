@@ -23,8 +23,8 @@ import abc
 import time
 from dataclasses import dataclass, field
 
-from repro.core.cost import ClusterSpec, MemoryBudgetExceeded, RunProfile
-from repro.core.errors import PlatformFailure, SimulatedOOM, SimulatedTimeout
+from repro.core.cost import ClusterSpec, CostMeter, MemoryBudgetExceeded, RunProfile
+from repro.core.errors import PlatformFailure, SimulatedOOM
 from repro.core.workload import Algorithm, AlgorithmParams
 from repro.graph.graph import Graph
 
@@ -69,14 +69,13 @@ class Platform(abc.ABC):
     """Base class of all platform drivers.
 
     Subclasses set :attr:`name` and implement :meth:`_load` and
-    :meth:`_execute`; the base class wraps them with timing, converts
-    memory-budget violations into typed
-    :class:`~repro.core.errors.SimulatedOOM` failures, and enforces
-    the per-run :attr:`timeout_seconds` budget as a typed
-    :class:`~repro.core.errors.SimulatedTimeout` — so the Benchmark
-    Core records failures as Figure 4's "missing values" instead of
-    crashing, and never sees a bare ``Exception`` for a simulated
-    platform limit.
+    :meth:`_execute`; the base class wraps them with timing and
+    converts memory-budget violations into typed
+    :class:`~repro.core.errors.SimulatedOOM` failures — so the
+    Benchmark Core records failures as Figure 4's "missing values"
+    instead of crashing, and never sees a bare ``Exception`` for a
+    simulated platform limit. The runtime budget is the core's
+    ``time_limit_seconds``, checked after the run.
     """
 
     #: Registry name, e.g. ``"giraph"``.
@@ -97,9 +96,6 @@ class Platform(abc.ABC):
         #: and the base class brackets each execution with
         #: run-begin/run-end events. Empty by default (zero overhead).
         self.sinks: tuple = ()
-        #: Simulated-seconds budget per algorithm run; exceeding it
-        #: raises a typed :class:`SimulatedTimeout`.
-        self.timeout_seconds: float | None = None
 
     # -- public API --------------------------------------------------
 
@@ -146,15 +142,6 @@ class Platform(abc.ABC):
             self._emit_run_end(None, exc.reason)
             raise
         wall = time.perf_counter() - start  # quality: ignore[determinism]
-        if (
-            self.timeout_seconds is not None
-            and profile.simulated_seconds > self.timeout_seconds
-        ):
-            timeout = SimulatedTimeout(
-                self.name, profile.simulated_seconds, self.timeout_seconds
-            )
-            self._emit_run_end(profile, timeout.reason)
-            raise timeout
         self._emit_run_end(profile, "success")
         return PlatformRun(
             platform=self.name,
@@ -178,6 +165,14 @@ class Platform(abc.ABC):
         return list(Algorithm)
 
     # -- driver hooks -------------------------------------------------
+
+    def _run_meter(self) -> CostMeter:
+        """A fresh cost meter for one algorithm run.
+
+        Carries the attached fault injector and trace sinks, so every
+        driver's runs are fault-injectable and traced the same way.
+        """
+        return CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
 
     @abc.abstractmethod
     def _load(self, name: str, graph: Graph) -> GraphHandle:

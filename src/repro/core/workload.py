@@ -15,7 +15,13 @@ from dataclasses import dataclass, field, replace
 from repro.core.errors import ConfigurationError
 from repro.graph.graph import Graph
 
-__all__ = ["Algorithm", "AlgorithmParams", "Workload", "BenchmarkRunSpec"]
+__all__ = [
+    "Algorithm",
+    "AlgorithmParams",
+    "Workload",
+    "BenchmarkRunSpec",
+    "fixpoint_round_bound",
+]
 
 
 class Algorithm(enum.Enum):
@@ -110,6 +116,18 @@ class AlgorithmParams:
     def with_source(self, source: int) -> "AlgorithmParams":
         """Copy of these params with an explicit BFS source."""
         return replace(self, bfs_source=source)
+
+
+def fixpoint_round_bound(num_vertices: int) -> int:
+    """Round bound of the traversal fixpoints (BFS, CONN, SSSP).
+
+    A shortest path has at most ``|V| - 1`` edges, so synchronous
+    propagation converges within ``|V| + 1`` rounds. Every engine
+    bounds these loops here, from the input rather than a constant,
+    and raises on reaching the bound instead of returning a partial
+    result. CD, PR and EVO are bounded by their own parameters.
+    """
+    return num_vertices + 2
 
 
 @dataclass(frozen=True)

@@ -798,6 +798,20 @@ class Graph:
             for v in self._vertex_ids
         }
 
+    def adjacency_tuples(self) -> dict[int, tuple[int, ...]]:
+        """``{vertex: (neighbors, ...)}`` — :meth:`adjacency` as tuples.
+
+        The immutable driver-side adjacency the platform drivers keep
+        on their graph handles.
+        """
+        ids = self._vertex_ids.tolist()
+        neighbors = self._vertex_ids[self._targets].tolist()
+        offsets = self._offsets.tolist()
+        return {
+            vertex: tuple(neighbors[offsets[i] : offsets[i + 1]])
+            for i, vertex in enumerate(ids)
+        }
+
     def weighted_adjacency(self) -> dict[int, list[tuple[int, float]]]:
         """``{vertex: [(neighbor, weight)]}`` in :meth:`neighbors` order."""
         weights = self.csr_weights()

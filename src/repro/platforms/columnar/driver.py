@@ -94,7 +94,7 @@ class VirtuosoPlatform(Platform):
     ) -> tuple[object, RunProfile]:
         table: ColumnTable = handle.detail["table"]
         vertices: list[int] = handle.detail["vertices"]
-        meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
+        meter = self._run_meter()
         meter.allocate_memory(0, handle.storage_bytes)
         meter.charge_startup()
         meter.begin_round(algorithm.value.lower())

@@ -344,13 +344,11 @@ def forest_fire(
     adjacency = {
         vertex: reader.out_neighbors(vertex).tolist() for vertex in vertices
     }
-    existing = sorted(adjacency)
-    next_id = existing[-1] + 1 if existing else 0
     links: dict[int, list[int]] = {}
-    for arrival_index in range(num_new_vertices):
-        arrival = next_id + arrival_index
-        links[arrival] = evo_ref.single_fire(
-            adjacency, existing, arrival, p_forward, max_hops, seed
+    arrivals = evo_ref.evo_arrivals(sorted(adjacency), num_new_vertices, seed)
+    for arrival, ambassador in arrivals.items():
+        links[arrival] = evo_ref.fire_from(
+            adjacency, ambassador, arrival, p_forward, max_hops, seed
         )
         stats.endpoints_visited += sum(
             len(adjacency[burned]) for burned in links[arrival]

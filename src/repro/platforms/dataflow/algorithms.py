@@ -140,7 +140,10 @@ def dataflow_cd(
 
     initial = {vertex: (vertex, 1.0) for vertex in engine.adjacency}
     workset = sorted(initial.items()) if max_iterations > 0 else []
-    engine.delta_iteration(initial, workset, step)
+    # One round per propagation step, plus the round that drains.
+    engine.delta_iteration(
+        initial, workset, step, max_iterations=max_iterations + 1
+    )
     return {vertex: value[0] for vertex, value in engine.solution.items()}
 
 
@@ -173,15 +176,10 @@ def dataflow_stats(engine: DataflowEngine) -> GraphStats:
     initial = {vertex: 0.0 for vertex in adjacency}
     workset = [(vertex, adjacency[vertex]) for vertex in sorted(adjacency)]
     engine.delta_iteration(initial, workset, step)
-    num_vertices = len(adjacency)
-    num_edges = sum(len(adj) for adj in adjacency.values()) // 2
-    clustering_sum = sum(engine.solution.values())
-    return GraphStats(
-        num_vertices=num_vertices,
-        num_edges=num_edges,
-        mean_local_clustering=(
-            clustering_sum / num_vertices if num_vertices else 0.0
-        ),
+    return GraphStats.from_clustering_sum(
+        len(adjacency),
+        sum(len(adj) for adj in adjacency.values()) // 2,
+        sum(engine.solution.values()),
     )
 
 
@@ -261,12 +259,7 @@ def dataflow_sssp(
 
     initial = {vertex: UNREACHABLE_DISTANCE for vertex in engine.adjacency}
     initial[source] = 0.0
-    engine.delta_iteration(
-        initial,
-        [(source, 0.0)],
-        step,
-        max_iterations=max(200, len(engine.adjacency) + 2),
-    )
+    engine.delta_iteration(initial, [(source, 0.0)], step)
     return dict(engine.solution)
 
 
@@ -377,9 +370,6 @@ def dataflow_evo(
         (vertex, tuple(sorted(burns.items())))
         for vertex, burns in sorted(by_ambassador.items())
     ]
-    engine.delta_iteration(initial, workset, step)
-    links: dict[int, list[int]] = {arrival: [] for arrival in ambassadors}
-    for vertex, burned in engine.solution.items():
-        for arrival in burned:
-            links[arrival].append(vertex)
-    return {arrival: sorted(targets) for arrival, targets in links.items()}
+    # One round per hop, plus the round that finds no fresh burns.
+    engine.delta_iteration(initial, workset, step, max_iterations=max_hops + 1)
+    return evo_ref.transpose_burns(ambassadors, engine.solution.items())

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from repro.algorithms.evo import ambassador_for
+from repro.algorithms.evo import evo_arrivals
 from repro.core import etl
-from repro.core.cost import CostMeter, RunProfile
+from repro.core.cost import RunProfile
 from repro.core.platform_api import GraphHandle, Platform
 from repro.core.workload import Algorithm, AlgorithmParams
 from repro.graph.graph import Graph
@@ -39,20 +39,13 @@ class StratospherePlatform(Platform):
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
-        adjacency = {
-            int(v): tuple(int(u) for u in undirected.neighbors(int(v)))
-            for v in undirected.vertices
-        }
+        adjacency = undirected.adjacency_tuples()
         storage = (
             2 * undirected.num_edges * EDGE_BYTES
             + undirected.num_vertices * SOLUTION_ENTRY_BYTES
         )
-        file_bytes = etl.edge_file_bytes(undirected.num_edges)
-        etl_time = (
-            self.cluster.startup_seconds
-            + etl.distributed_read_seconds(file_bytes, self.cluster)
-            + etl.parse_seconds(undirected.num_edges, 5.0, self.cluster)
-            + etl.partition_shuffle_seconds(storage, self.cluster)
+        etl_time = etl.distributed_load_seconds(
+            undirected.num_edges, undirected.num_edges, 5.0, storage, self.cluster
         )
         return GraphHandle(
             name=name,
@@ -67,7 +60,7 @@ class StratospherePlatform(Platform):
         self, handle: GraphHandle, algorithm: Algorithm, params: AlgorithmParams
     ) -> tuple[object, RunProfile]:
         adjacency: dict[int, tuple[int, ...]] = handle.detail["adjacency"]
-        meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
+        meter = self._run_meter()
         meter.charge_startup()
         engine = DataflowEngine(adjacency, self.cluster, meter)
         try:
@@ -102,17 +95,13 @@ class StratospherePlatform(Platform):
             elif algorithm is Algorithm.LCC:
                 output = dataflow_lcc(engine)
             elif algorithm is Algorithm.EVO:
-                existing = sorted(adjacency)
-                next_id = existing[-1] + 1
-                ambassadors = {
-                    next_id + arrival: ambassador_for(
-                        params.evo_seed, next_id + arrival, existing
-                    )
-                    for arrival in range(params.evo_new_vertices)
-                }
                 output = dataflow_evo(
                     engine,
-                    ambassadors,
+                    evo_arrivals(
+                        sorted(adjacency),
+                        params.evo_new_vertices,
+                        params.evo_seed,
+                    ),
                     p_forward=params.evo_p_forward,
                     max_hops=params.evo_max_hops,
                     seed=params.evo_seed,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.core.cost import ClusterSpec, CostMeter
+from repro.core.workload import fixpoint_round_bound
 
 __all__ = ["DataflowEngine", "DeltaIterationStats"]
 
@@ -198,15 +199,19 @@ class DataflowEngine:
         initial_solution: dict[int, Any],
         initial_workset: list[tuple[int, Any]],
         step: Callable[["DataflowEngine", list[tuple[int, Any]]], list[tuple[int, Any]]],
-        max_iterations: int = 200,
+        max_iterations: int | None = None,
     ) -> DeltaIterationStats:
         """Run the Stratosphere/Flink delta-iteration loop.
 
         ``step(engine, workset)`` performs one iteration using the
         charged operators and returns the next workset. The loop ends
         when the workset empties — per-iteration cost tracks the
-        frontier, never the whole graph.
+        frontier, never the whole graph. ``max_iterations`` defaults
+        to :func:`~repro.core.workload.fixpoint_round_bound` of the
+        graph's vertex count; reaching it raises.
         """
+        if max_iterations is None:
+            max_iterations = fixpoint_round_bound(len(self.adjacency))
         self.create_solution_set(initial_solution)
         stats = DeltaIterationStats()
         workset = list(initial_workset)

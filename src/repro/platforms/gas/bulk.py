@@ -39,6 +39,7 @@ import abc
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
+from repro.core.workload import fixpoint_round_bound
 
 __all__ = [
     "GASBulkKernel",
@@ -221,7 +222,8 @@ class BulkRoundRunner:
         active = kernel.initially_active(self.ids, values)
 
         rounds = 0
-        while len(active) and rounds < program.max_rounds():
+        bound = program.max_rounds() or fixpoint_round_bound(self.n)
+        while len(active) and rounds < bound:
             meter.begin_round(f"gas-{rounds}")
             arc_owner, arc_neighbor, arc_counts = self._expand_arcs(active)
             # Gather: one op per incident arc, on the edge's worker,
@@ -256,7 +258,7 @@ class BulkRoundRunner:
             rounds += 1
         if len(active):
             raise RuntimeError(
-                f"{type(program).__name__} exceeded {program.max_rounds()} rounds"
+                f"{type(program).__name__} exceeded {bound} rounds"
             )
         return GASResult(
             values={

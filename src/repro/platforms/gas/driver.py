@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from repro.algorithms.evo import ambassador_for
+from repro.algorithms.evo import evo_arrivals, transpose_burns
 from repro.algorithms.stats import GraphStats
 from repro.core import etl
-from repro.core.cost import ClusterSpec, CostMeter, RunProfile
+from repro.core.cost import ClusterSpec, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
 from repro.core.workload import Algorithm, AlgorithmParams
 from repro.graph.graph import Graph
@@ -45,22 +45,15 @@ class GraphLabPlatform(Platform):
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
-        adjacency = {
-            int(v): tuple(int(u) for u in undirected.neighbors(int(v)))
-            for v in undirected.vertices
-        }
+        adjacency = undirected.adjacency_tuples()
         storage = (
             undirected.num_vertices * REPLICA_BYTES
             + undirected.num_edges * EDGE_BYTES
         )
         # ETL: read the edge file, hash every edge into the vertex
         # cut, and set up mirror replicas.
-        file_bytes = etl.edge_file_bytes(undirected.num_edges)
-        etl_time = (
-            self.cluster.startup_seconds
-            + etl.distributed_read_seconds(file_bytes, self.cluster)
-            + etl.parse_seconds(undirected.num_edges, 6.0, self.cluster)
-            + etl.partition_shuffle_seconds(storage, self.cluster)
+        etl_time = etl.distributed_load_seconds(
+            undirected.num_edges, undirected.num_edges, 6.0, storage, self.cluster
         )
         return GraphHandle(
             name=name,
@@ -74,13 +67,13 @@ class GraphLabPlatform(Platform):
     def _execute(
         self, handle: GraphHandle, algorithm: Algorithm, params: AlgorithmParams
     ) -> tuple[object, RunProfile]:
-        meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
+        meter = self._run_meter()
         meter.charge_startup()
         engine = GASEngine(handle.graph, self.cluster, meter, bulk=self.bulk)
         adjacency: dict[int, tuple[int, ...]] = handle.detail["adjacency"]
         program = self._build_program(handle, adjacency, algorithm, params)
         result = engine.run(program)
-        output = self._extract_output(adjacency, algorithm, params, result)
+        output = self._extract_output(adjacency, algorithm, program, result)
         return output, meter.profile
 
     def _build_program(self, handle, adjacency, algorithm, params):
@@ -106,52 +99,38 @@ class GraphLabPlatform(Platform):
             return GASSSSPProgram(
                 params.resolve_sssp_source(handle.graph),
                 handle.graph.weighted_adjacency(),
-                num_vertices=handle.graph.num_vertices,
             )
         if algorithm is Algorithm.LCC:
             return GASLCCProgram(adjacency)
         if algorithm is Algorithm.EVO:
-            existing = sorted(adjacency)
-            next_id = existing[-1] + 1
-            ambassadors = {
-                next_id + arrival: ambassador_for(
-                    params.evo_seed, next_id + arrival, existing
-                )
-                for arrival in range(params.evo_new_vertices)
-            }
             return GASEvoProgram(
                 adjacency,
-                ambassadors,
+                evo_arrivals(
+                    sorted(adjacency), params.evo_new_vertices, params.evo_seed
+                ),
                 p_forward=params.evo_p_forward,
                 max_hops=params.evo_max_hops,
                 seed=params.evo_seed,
             )
         raise ValueError(f"unsupported algorithm {algorithm}")
 
-    def _extract_output(self, adjacency, algorithm, params, result):
+    def _extract_output(self, adjacency, algorithm, program, result):
         if algorithm is Algorithm.STATS:
-            num_vertices = len(adjacency)
-            num_edges = sum(len(adj) for adj in adjacency.values()) // 2
-            clustering_sum = sum(result.values.values())
-            return GraphStats(
-                num_vertices=num_vertices,
-                num_edges=num_edges,
-                mean_local_clustering=(
-                    clustering_sum / num_vertices if num_vertices else 0.0
-                ),
+            return GraphStats.from_clustering_sum(
+                len(adjacency),
+                sum(len(adj) for adj in adjacency.values()) // 2,
+                sum(result.values.values()),
             )
         if algorithm in (Algorithm.CD, Algorithm.PR):
             # The vertex value carries an iteration counter; only the
             # label (CD) / rank (PR) is the output.
             return {v: value[0] for v, value in result.values.items()}
         if algorithm is Algorithm.EVO:
-            existing = sorted(adjacency)
-            next_id = existing[-1] + 1
-            links: dict[int, list[int]] = {
-                next_id + i: [] for i in range(params.evo_new_vertices)
-            }
-            for vertex, (burned, _fresh) in result.values.items():
-                for arrival in burned:
-                    links[arrival].append(vertex)
-            return {arrival: sorted(targets) for arrival, targets in links.items()}
+            return transpose_burns(
+                program.ambassadors,
+                (
+                    (vertex, burned)
+                    for vertex, (burned, _fresh) in result.values.items()
+                ),
+            )
         return dict(result.values)

@@ -30,6 +30,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.cost import ClusterSpec, CostMeter
+from repro.core.workload import fixpoint_round_bound
 from repro.graph.graph import Graph
 
 __all__ = ["GASProgram", "GASEngine", "GASResult", "edge_partition_of"]
@@ -91,9 +92,14 @@ class GASProgram(abc.ABC):
         """Bytes of one vertex value (override if variable)."""
         return self.value_bytes
 
-    def max_rounds(self) -> int:
-        """Safety bound on GAS rounds."""
-        return 200
+    def max_rounds(self) -> int | None:
+        """Bound on GAS rounds; engines abort beyond it.
+
+        ``None`` (the default) marks a fixpoint program such as BFS,
+        CONN or SSSP, which the engine bounds by
+        :func:`~repro.core.workload.fixpoint_round_bound`.
+        """
+        return None
 
     def bulk_rounds(self):
         """Optional vectorized whole-round kernel.
@@ -384,7 +390,8 @@ class GASEngine:
         }
         active = {v for v in self.adjacency if program.initially_active(v)}
         sweeps = 0
-        while active and sweeps < program.max_rounds():
+        bound = program.max_rounds() or fixpoint_round_bound(len(values))
+        while active and sweeps < bound:
             meter.begin_round(f"async-sweep-{sweeps}")
             next_active: set[int] = set()
             for vertex in sorted(active):
@@ -426,7 +433,7 @@ class GASEngine:
             sweeps += 1
         if active:
             raise RuntimeError(
-                f"{type(program).__name__} exceeded {program.max_rounds()} sweeps"
+                f"{type(program).__name__} exceeded {bound} sweeps"
             )
         return GASResult(
             values=values,
@@ -442,7 +449,8 @@ class GASEngine:
         active = {v for v in self.adjacency if program.initially_active(v)}
 
         rounds = 0
-        while active and rounds < program.max_rounds():
+        bound = program.max_rounds() or fixpoint_round_bound(len(values))
+        while active and rounds < bound:
             meter.begin_round(f"gas-{rounds}")
             # ---- gather: per edge, on the edge's worker -------------------
             partials: dict[int, dict[int, Any]] = {}  # vertex -> worker -> sum
@@ -517,7 +525,7 @@ class GASEngine:
             rounds += 1
         if active:
             raise RuntimeError(
-                f"{type(program).__name__} exceeded {program.max_rounds()} rounds"
+                f"{type(program).__name__} exceeded {bound} rounds"
             )
         return GASResult(
             values=values,

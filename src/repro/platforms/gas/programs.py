@@ -195,17 +195,11 @@ class GASSSSPProgram(GASProgram):
         self,
         source: int,
         weighted_adjacency: dict[int, list[tuple[int, float]]],
-        num_vertices: int = 0,
     ):
         self.source = source
         self.weights = {
             vertex: dict(pairs) for vertex, pairs in weighted_adjacency.items()
         }
-        self.num_vertices = num_vertices
-
-    def max_rounds(self) -> int:
-        """Shortest-path hop counts are bounded by the vertex count."""
-        return max(200, self.num_vertices + 2)
 
     def initial_value(self, vertex: int, degree: int) -> float:
         """Everyone starts unreached; the source bootstraps in apply."""
@@ -407,6 +401,8 @@ class GASEvoProgram(GASProgram):
         seed: int,
     ):
         self.adjacency = adjacency
+        #: arrival id -> ambassador vertex
+        self.ambassadors = ambassadors
         self.p_forward = p_forward
         self.max_hops = max_hops
         self.seed = seed

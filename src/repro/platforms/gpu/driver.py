@@ -62,10 +62,10 @@ class MedusaPlatform(GiraphPlatform):
     def _execute(
         self, handle: GraphHandle, algorithm: Algorithm, params: AlgorithmParams
     ) -> tuple[object, RunProfile]:
-        meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
+        meter = self._run_meter()
         meter.charge_startup()
         engine = GPUEngine(handle.graph, self.cluster, meter)
         program = self._build_program(handle.graph, algorithm, params)
         result = engine.run(program)
-        output = self._extract_output(handle.graph, algorithm, params, result)
+        output = self._extract_output(algorithm, program, result)
         return output, meter.profile

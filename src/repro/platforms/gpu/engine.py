@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.cost import ClusterSpec, CostMeter
+from repro.core.workload import fixpoint_round_bound
 from repro.platforms.pregel.engine import (
     MESSAGE_BYTES,
     VertexProgram,
@@ -220,7 +221,8 @@ class GPUEngine:
 
         inbox: dict[int, list] = {}
         superstep = 0
-        while superstep < program.max_supersteps():
+        bound = program.max_supersteps() or fixpoint_round_bound(len(values))
+        while superstep < bound:
             compute_set = [
                 v for v in self.thread_order if not halted[v] or v in inbox
             ]
@@ -269,8 +271,7 @@ class GPUEngine:
             superstep += 1
         else:
             raise RuntimeError(
-                f"{type(program).__name__} exceeded "
-                f"{program.max_supersteps()} supersteps"
+                f"{type(program).__name__} exceeded {bound} supersteps"
             )
 
         self.meter.release_memory(0, self._outbox_bytes)

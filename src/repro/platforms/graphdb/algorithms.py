@@ -119,11 +119,8 @@ def db_stats(store: GraphStore) -> GraphStats:
             links_twice += sum(1 for w in neighbor_sets[u] if w in neighbors)
             store._charge_scan(len(neighbor_sets[u]))
         clustering_sum += links_twice / (k * (k - 1))
-    num_nodes = store.num_nodes
-    return GraphStats(
-        num_vertices=num_nodes,
-        num_edges=store.num_relationships,
-        mean_local_clustering=clustering_sum / num_nodes if num_nodes else 0.0,
+    return GraphStats.from_clustering_sum(
+        store.num_nodes, store.num_relationships, clustering_sum
     )
 
 
@@ -211,12 +208,11 @@ def db_evo(
     """EVO: per-arrival forest fires via store traversals."""
     existing = store.node_ids()
     adjacency = {node: store.neighbors(node) for node in existing}
-    next_id = existing[-1] + 1 if existing else 0
     links: dict[int, list[int]] = {}
-    for arrival_index in range(num_new_vertices):
-        arrival = next_id + arrival_index
-        links[arrival] = evo_ref.single_fire(
-            adjacency, existing, arrival, p_forward, max_hops, seed
+    arrivals = evo_ref.evo_arrivals(existing, num_new_vertices, seed)
+    for arrival, ambassador in arrivals.items():
+        links[arrival] = evo_ref.fire_from(
+            adjacency, ambassador, arrival, p_forward, max_hops, seed
         )
         store._charge_scan(sum(len(adjacency[b]) for b in links[arrival]))
     return links

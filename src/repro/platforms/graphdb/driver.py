@@ -93,7 +93,7 @@ class Neo4jPlatform(Platform):
         store: GraphStore = handle.detail["store"]
         # Each run gets a fresh meter but shares the loaded store's
         # memory accounting baseline.
-        meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
+        meter = self._run_meter()
         meter.allocate_memory(0, handle.storage_bytes)
         original_meter = store.meter
         store.meter = meter

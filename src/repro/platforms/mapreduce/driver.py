@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
-from repro.algorithms.evo import ambassador_for
+from repro.algorithms.evo import evo_arrivals, transpose_burns
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
 from repro.core import etl
-from repro.core.cost import ClusterSpec, CostMeter, RunProfile
+from repro.core.cost import ClusterSpec, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
-from repro.core.workload import Algorithm, AlgorithmParams
+from repro.core.workload import Algorithm, AlgorithmParams, fixpoint_round_bound
 
 from repro.platforms.mapreduce.batch import RecordBatch
 from repro.platforms.mapreduce.engine import MapReduceEngine, record_size
@@ -43,11 +43,6 @@ class MapReducePlatform(Platform):
 
     name = "mapreduce"
 
-    #: Bound on driver-side iterations; HashMin label propagation on a
-    #: path graph needs up to |V| rounds, which would take years on
-    #: real Hadoop — the benchmark's time limit triggers first.
-    MAX_ITERATIONS = 100
-
     def __init__(self, cluster: ClusterSpec, bulk: bool = True):
         super().__init__(cluster)
         #: Batched shuffle/byte accounting in the engine; ``bulk=False``
@@ -57,10 +52,7 @@ class MapReducePlatform(Platform):
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
-        adjacency = {
-            int(v): tuple(int(u) for u in undirected.neighbors(int(v)))
-            for v in undirected.vertices
-        }
+        adjacency = undirected.adjacency_tuples()
         storage = sum(record_size(k, v) for k, v in adjacency.items())
         # ETL: copy the adjacency records into HDFS (3-way replicated);
         # no in-memory structures to build — the cheapest load of all.
@@ -77,7 +69,7 @@ class MapReducePlatform(Platform):
     def _execute(
         self, handle: GraphHandle, algorithm: Algorithm, params: AlgorithmParams
     ) -> tuple[object, RunProfile]:
-        meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
+        meter = self._run_meter()
         engine = MapReduceEngine(self.cluster, meter, bulk=self.bulk)
         adjacency: dict[int, tuple[int, ...]] = handle.detail["adjacency"]
         try:
@@ -105,17 +97,31 @@ class MapReducePlatform(Platform):
 
     # -- algorithms ------------------------------------------------------
 
+    @staticmethod
+    def _run_to_fixpoint(engine, make_job, records, num_vertices):
+        """Chain one job per iteration until a job changes nothing.
+
+        A traversal fixpoint (BFS, CONN, SSSP) needs at most
+        :func:`~repro.core.workload.fixpoint_round_bound` iterations;
+        the driver raises rather than return unconverged records.
+        """
+        bound = fixpoint_round_bound(num_vertices)
+        for iteration in range(1, bound + 1):
+            result = engine.run_job(make_job(iteration), records)
+            records = result.output
+            if result.counters.get("changed", 0) == 0:
+                return records
+        raise RuntimeError(f"fixpoint not reached in {bound} iterations")
+
     def _run_bfs(self, engine, adjacency, source):
         if engine.bulk:
             batch = RecordBatch.from_adjacency(adjacency)
             batch.columns["dist"] = np.where(
                 batch.keys == source, 0, UNREACHABLE
             ).astype(np.int64)
-            for iteration in range(1, self.MAX_ITERATIONS + 1):
-                result = engine.run_job(BFSIterationJob(iteration), batch)
-                batch = result.output
-                if result.counters.get("changed", 0) == 0:
-                    break
+            batch = self._run_to_fixpoint(
+                engine, BFSIterationJob, batch, len(adjacency)
+            )
             return {
                 int(v): int(d)
                 for v, d in zip(
@@ -126,22 +132,18 @@ class MapReducePlatform(Platform):
             (v, (adj, 0 if v == source else UNREACHABLE))
             for v, adj in adjacency.items()
         ]
-        for iteration in range(1, self.MAX_ITERATIONS + 1):
-            result = engine.run_job(BFSIterationJob(iteration), records)
-            records = result.output
-            if result.counters.get("changed", 0) == 0:
-                break
+        records = self._run_to_fixpoint(
+            engine, BFSIterationJob, records, len(adjacency)
+        )
         return {v: dist for v, (adj, dist) in records}
 
     def _run_conn(self, engine, adjacency, params):
         if engine.bulk:
             batch = RecordBatch.from_adjacency(adjacency)
             batch.columns["label"] = batch.keys.copy()
-            for iteration in range(1, self.MAX_ITERATIONS + 1):
-                result = engine.run_job(ConnIterationJob(iteration), batch)
-                batch = result.output
-                if result.counters.get("changed", 0) == 0:
-                    break
+            batch = self._run_to_fixpoint(
+                engine, ConnIterationJob, batch, len(adjacency)
+            )
             return {
                 int(v): int(lbl)
                 for v, lbl in zip(
@@ -149,11 +151,9 @@ class MapReducePlatform(Platform):
                 )
             }
         records = [(v, (adj, v)) for v, adj in adjacency.items()]
-        for iteration in range(1, self.MAX_ITERATIONS + 1):
-            result = engine.run_job(ConnIterationJob(iteration), records)
-            records = result.output
-            if result.counters.get("changed", 0) == 0:
-                break
+        records = self._run_to_fixpoint(
+            engine, ConnIterationJob, records, len(adjacency)
+        )
         return {v: label for v, (adj, label) in records}
 
     def _run_cd(self, engine, adjacency, params):
@@ -173,15 +173,10 @@ class MapReducePlatform(Platform):
         partials = engine.run_job(StatsTriangleJob(), records)
         totals = engine.run_job(StatsAggregationJob(), partials.output)
         sums = dict(totals.output)
-        num_vertices = int(sums.get("vertices", 0))
-        return GraphStats(
-            num_vertices=num_vertices,
-            num_edges=int(sums.get("edges", 0)) // 2,
-            mean_local_clustering=(
-                sums.get("clustering_sum", 0.0) / num_vertices
-                if num_vertices
-                else 0.0
-            ),
+        return GraphStats.from_clustering_sum(
+            int(sums.get("vertices", 0)),
+            int(sums.get("edges", 0)) // 2,
+            sums.get("clustering_sum", 0.0),
         )
 
     def _run_pagerank(self, engine, adjacency, params):
@@ -198,13 +193,9 @@ class MapReducePlatform(Platform):
                  v == source))
             for v, pairs in weighted_adjacency.items()
         ]
-        # Synchronous relaxation settles within |V| rounds (positive
-        # weights); the driver loops on the ``changed`` counter.
-        for iteration in range(1, max(200, len(records) + 2)):
-            result = engine.run_job(SSSPIterationJob(iteration), records)
-            records = result.output
-            if result.counters.get("changed", 0) == 0:
-                break
+        records = self._run_to_fixpoint(
+            engine, SSSPIterationJob, records, len(records)
+        )
         return {v: dist for v, (wadj, dist, changed) in records}
 
     def _run_lcc(self, engine, adjacency, params):
@@ -212,12 +203,11 @@ class MapReducePlatform(Platform):
         return dict(engine.run_job(LCCJob(), records).output)
 
     def _run_evo(self, engine, adjacency, params):
-        existing = sorted(adjacency)
-        next_id = existing[-1] + 1
+        arrivals = evo_arrivals(
+            sorted(adjacency), params.evo_new_vertices, params.evo_seed
+        )
         seeds: dict[int, dict[int, int]] = {}
-        for arrival_index in range(params.evo_new_vertices):
-            arrival = next_id + arrival_index
-            ambassador = ambassador_for(params.evo_seed, arrival, existing)
+        for arrival, ambassador in arrivals.items():
             seeds.setdefault(ambassador, {})[arrival] = 0
         records = [
             (v, (adj, dict(seeds.get(v, {})), dict(seeds.get(v, {}))))
@@ -231,10 +221,6 @@ class MapReducePlatform(Platform):
             records = result.output
             if result.counters.get("burned", 0) == 0:
                 break
-        links: dict[int, list[int]] = {
-            next_id + i: [] for i in range(params.evo_new_vertices)
-        }
-        for v, (adj, burned, fresh) in records:
-            for arrival in burned:
-                links[arrival].append(v)
-        return {arrival: sorted(targets) for arrival, targets in links.items()}
+        return transpose_burns(
+            arrivals, ((v, burned) for v, (adj, burned, fresh) in records)
+        )

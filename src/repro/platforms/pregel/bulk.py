@@ -39,6 +39,7 @@ import abc
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
+from repro.core.workload import fixpoint_round_bound
 
 __all__ = [
     "BulkVertexKernel",
@@ -187,7 +188,8 @@ class BulkSuperstepRunner:
         frontier = np.arange(self.n, dtype=np.int64)
         merged: np.ndarray | None = None
         superstep = 0
-        while superstep < program.max_supersteps():
+        bound = program.max_supersteps() or fixpoint_round_bound(self.n)
+        while superstep < bound:
             if len(frontier) == 0:
                 break
             central = (
@@ -209,8 +211,7 @@ class BulkSuperstepRunner:
             superstep += 1
         else:
             raise RuntimeError(
-                f"{type(program).__name__} exceeded "
-                f"{program.max_supersteps()} supersteps"
+                f"{type(program).__name__} exceeded {bound} supersteps"
             )
 
         self._release_queued()

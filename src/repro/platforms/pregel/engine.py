@@ -26,6 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.cost import ClusterSpec, CostMeter
+from repro.core.workload import fixpoint_round_bound
 from repro.graph.graph import Graph
 
 __all__ = ["VertexProgram", "VertexContext", "PregelEngine", "partition_of"]
@@ -43,7 +44,6 @@ _KNUTH = 2654435761
 def partition_of(vertex: int, num_workers: int) -> int:
     """Giraph-style hash partitioning of vertices onto workers."""
     return ((vertex * _KNUTH) & 0xFFFFFFFF) % num_workers
-
 
 class VertexProgram(abc.ABC):
     """A Pregel computation: what every vertex runs each superstep."""
@@ -78,9 +78,14 @@ class VertexProgram(abc.ABC):
         """Payload bytes of a concrete message (override if variable)."""
         return self.message_bytes
 
-    def max_supersteps(self) -> int:
-        """Safety bound; engines abort beyond it."""
-        return 200
+    def max_supersteps(self) -> int | None:
+        """Superstep bound; engines abort beyond it.
+
+        ``None`` (the default) marks a fixpoint program such as BFS,
+        CONN or SSSP, which the engine bounds by
+        :func:`~repro.core.workload.fixpoint_round_bound`.
+        """
+        return None
 
     def bulk_step(self):
         """Optional vectorized whole-superstep kernel.
@@ -422,7 +427,8 @@ class PregelEngine:
 
         inbox: dict[int, list] = {}
         superstep = 0
-        while superstep < program.max_supersteps():
+        bound = program.max_supersteps() or fixpoint_round_bound(len(states))
+        while superstep < bound:
             compute_set = [
                 v for v, s in states.items() if s.active or v in inbox
             ]
@@ -487,8 +493,7 @@ class PregelEngine:
             superstep += 1
         else:
             raise RuntimeError(
-                f"{type(program).__name__} exceeded "
-                f"{program.max_supersteps()} supersteps"
+                f"{type(program).__name__} exceeded {bound} supersteps"
             )
 
         for worker in range(self.spec.num_workers):

@@ -290,9 +290,8 @@ class SSSPProgram(VertexProgram):
 
     message_bytes = 8.0
 
-    def __init__(self, source: int, num_vertices: int = 0):
+    def __init__(self, source: int):
         self.source = source
-        self.num_vertices = num_vertices
 
     def initial_value(self, vertex: int, ctx: VertexContext) -> float:
         """Vertex value before superstep 0."""
@@ -301,10 +300,6 @@ class SSSPProgram(VertexProgram):
     def combiner(self):
         """Sender-side message combiner."""
         return min
-
-    def max_supersteps(self) -> int:
-        """Shortest-path hop counts are bounded by the vertex count."""
-        return max(200, self.num_vertices + 2)
 
     def _relax(self, ctx: VertexContext) -> None:
         for neighbor, weight in ctx.weighted_neighbors():

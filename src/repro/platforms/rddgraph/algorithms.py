@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-def graphx_bfs(graph: GraphXGraph, source: int, max_iterations: int = 100) -> dict[int, int]:
+def graphx_bfs(graph: GraphXGraph, source: int) -> dict[int, int]:
     """BFS distances via the Pregel loop; value = (dist, changed)."""
 
     def initial(vertex: int) -> tuple[int, bool]:
@@ -49,13 +49,13 @@ def graphx_bfs(graph: GraphXGraph, source: int, max_iterations: int = 100) -> di
             return [(dst, dist + 1)]
         return []
 
-    result = graph.pregel(initial, vprog, send, min, max_iterations)
+    result = graph.pregel(initial, vprog, send, min)
     return {v: value[0] for v, value in result.collect()}
 
 
-def graphx_conn(graph: GraphXGraph, max_iterations: int = 100) -> dict[int, int]:
+def graphx_conn(graph: GraphXGraph) -> dict[int, int]:
     """CONN via the built-in connected-components operator."""
-    components = graph.connected_components(max_iterations)
+    components = graph.connected_components()
     return dict(components.collect())
 
 
@@ -155,7 +155,6 @@ def graphx_sssp(
     graph: GraphXGraph,
     source: int,
     weights: dict[int, dict[int, float]],
-    max_iterations: int = 0,
 ) -> dict[int, float]:
     """Weighted SSSP via Pregel; value = ``(distance, changed)``.
 
@@ -182,8 +181,7 @@ def graphx_sssp(
             return (incoming, True)
         return (distance, False)
 
-    bound = max_iterations or max(200, len(weights) + 2)
-    result = graph.pregel(initial, vprog, send, min, bound)
+    result = graph.pregel(initial, vprog, send, min)
     return {v: value[0] for v, value in result.collect()}
 
 
@@ -272,11 +270,7 @@ def graphx_stats(
     neighbor_lists.unpersist()
     with_adjacency.vertices.unpersist()
     clustering_sum = total[0][1] if total else 0.0
-    return GraphStats(
-        num_vertices=num_vertices,
-        num_edges=num_edges,
-        mean_local_clustering=clustering_sum / num_vertices if num_vertices else 0.0,
-    )
+    return GraphStats.from_clustering_sum(num_vertices, num_edges, clustering_sum)
 
 
 def graphx_evo(
@@ -340,8 +334,7 @@ def graphx_evo(
         return (burned, fresh)
 
     result = graph.pregel(initial, vprog, send, merge, max_hops + 1)
-    links: dict[int, list[int]] = {arrival: [] for arrival in ambassadors}
-    for vertex, (burned, _fresh) in result.collect():
-        for arrival in burned:
-            links[arrival].append(vertex)
-    return {arrival: sorted(targets) for arrival, targets in links.items()}
+    return evo_ref.transpose_burns(
+        ambassadors,
+        ((vertex, burned) for vertex, (burned, _fresh) in result.collect()),
+    )

@@ -39,6 +39,7 @@ import abc
 import numpy as np
 
 from repro.algorithms.bfs import UNREACHABLE
+from repro.core.workload import fixpoint_round_bound
 from repro.graph.graph import Graph
 from repro.platforms.rddgraph.graphx import GraphXGraph
 from repro.platforms.rddgraph.rdd import RECORD_CPU_OPS
@@ -313,8 +314,15 @@ class BulkPregelRunner:
 
     # -- the loop -----------------------------------------------------
 
-    def run(self, max_iterations: int) -> tuple[np.ndarray, str]:
-        """Execute the Pregel loop; returns final values and RDD name."""
+    def run(self, max_iterations: int | None = None) -> tuple[np.ndarray, str]:
+        """Execute the Pregel loop; returns final values and RDD name.
+
+        The kernels all end by sending no messages, so running out of
+        rounds — by default :func:`~repro.core.workload.fixpoint_round_bound`
+        of them — raises rather than return a partial result.
+        """
+        if max_iterations is None:
+            max_iterations = fixpoint_round_bound(len(self.ids))
         kernel, meter = self.kernel, self.meter
         values, changed = kernel.initial(self.ids)
         arcs, vertices = self.arcs_per_worker, self.vertices_per_worker
@@ -390,6 +398,10 @@ class BulkPregelRunner:
             has_previous = True
             name = "vprog"
             kernel.absorb(values, changed, targets, incoming)
+        else:
+            raise RuntimeError(
+                f"pregel fixpoint not reached in {max_iterations} iterations"
+            )
         if has_previous:
             self._release(_VERTEX_BYTES * vertices)
         return values, name
@@ -457,21 +469,19 @@ class BulkPregelRunner:
 
 
 def graphx_bfs_bulk(
-    graphx: GraphXGraph, graph: Graph, source: int, max_iterations: int = 100
+    graphx: GraphXGraph, graph: Graph, source: int
 ) -> dict[int, int]:
     """Bulk twin of :func:`~repro.platforms.rddgraph.algorithms.graphx_bfs`."""
     runner = BulkPregelRunner(graphx, graph, RDDBFSBulkKernel(source))
-    values, name = runner.run(max_iterations)
+    values, name = runner.run()
     runner.collect(name, _VERTEX_WIRE_BYTES)
     return {int(v): int(d) for v, d in zip(runner.ids, values)}
 
 
-def graphx_conn_bulk(
-    graphx: GraphXGraph, graph: Graph, max_iterations: int = 100
-) -> dict[int, int]:
+def graphx_conn_bulk(graphx: GraphXGraph, graph: Graph) -> dict[int, int]:
     """Bulk twin of :func:`~repro.platforms.rddgraph.algorithms.graphx_conn`."""
     runner = BulkPregelRunner(graphx, graph, RDDConnBulkKernel())
-    values, _name = runner.run(max_iterations)
+    values, _name = runner.run()
     runner.map_values_stage("components")
     runner.collect("components", _PAIR_WIRE_BYTES)
     return {int(v): int(c) for v, c in zip(runner.ids, values)}

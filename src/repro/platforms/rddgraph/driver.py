@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from repro.algorithms.evo import ambassador_for
+from repro.algorithms.evo import evo_arrivals
 from repro.core import etl
-from repro.core.cost import ClusterSpec, CostMeter, RunProfile
+from repro.core.cost import ClusterSpec, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
 from repro.core.workload import Algorithm, AlgorithmParams
 from repro.graph.graph import Graph
@@ -49,22 +49,15 @@ class GraphXPlatform(Platform):
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
-        adjacency = {
-            int(v): tuple(int(u) for u in undirected.neighbors(int(v)))
-            for v in undirected.vertices
-        }
+        adjacency = undirected.adjacency_tuples()
         storage = float(
             48 * undirected.num_vertices + 2 * 48 * undirected.num_edges
         )
         # ETL: read from HDFS, deserialize into JVM objects (more ops
         # per record than Giraph's primitives), shuffle into the hash
         # partitioner's layout.
-        file_bytes = etl.edge_file_bytes(undirected.num_edges)
-        etl_time = (
-            self.cluster.startup_seconds
-            + etl.distributed_read_seconds(file_bytes, self.cluster)
-            + etl.parse_seconds(2 * undirected.num_edges, 8.0, self.cluster)
-            + etl.partition_shuffle_seconds(storage, self.cluster)
+        etl_time = etl.distributed_load_seconds(
+            undirected.num_edges, 2 * undirected.num_edges, 8.0, storage, self.cluster
         )
         return GraphHandle(
             name=name,
@@ -78,7 +71,7 @@ class GraphXPlatform(Platform):
     def _execute(
         self, handle: GraphHandle, algorithm: Algorithm, params: AlgorithmParams
     ) -> tuple[object, RunProfile]:
-        meter = CostMeter(self.cluster, faults=self.faults, sinks=self.sinks)
+        meter = self._run_meter()
         meter.charge_startup()
         context = RDDContext(self.cluster, meter)
         adjacency: dict[int, tuple[int, ...]] = handle.detail["adjacency"]
@@ -149,18 +142,12 @@ class GraphXPlatform(Platform):
         if algorithm is Algorithm.LCC:
             return graphx_lcc(graph, adjacency)
         if algorithm is Algorithm.EVO:
-            existing = sorted(adjacency)
-            next_id = existing[-1] + 1
-            ambassadors = {
-                next_id + arrival: ambassador_for(
-                    params.evo_seed, next_id + arrival, existing
-                )
-                for arrival in range(params.evo_new_vertices)
-            }
             return graphx_evo(
                 graph,
                 adjacency,
-                ambassadors,
+                evo_arrivals(
+                    sorted(adjacency), params.evo_new_vertices, params.evo_seed
+                ),
                 p_forward=params.evo_p_forward,
                 max_hops=params.evo_max_hops,
                 seed=params.evo_seed,

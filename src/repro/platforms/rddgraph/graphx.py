@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.core.workload import fixpoint_round_bound
 from repro.platforms.rddgraph.rdd import RDD, RDDContext
 
 __all__ = ["GraphXGraph"]
@@ -127,7 +128,7 @@ class GraphXGraph:
         vprog: Callable[[int, Any, Any], Any],
         send: Callable[[int, Any, int], list[tuple[int, Any]]],
         merge: Callable[[Any, Any], Any],
-        max_iterations: int = 50,
+        max_iterations: int | None = None,
     ) -> RDD:
         """The GraphX Pregel loop; returns the final vertex RDD.
 
@@ -135,7 +136,17 @@ class GraphXGraph:
         returns ``[(target, message), ...]``; vertices whose value is
         unchanged may still emit (matching GraphX, where activity is
         encoded in the vertex value by the algorithm author).
+
+        The loop ends when a round sends no messages, or after an
+        explicit ``max_iterations`` rounds (GraphX's ``maxIterations``:
+        the caller's declared budget). Without one the loop is a
+        fixpoint: it raises after
+        :func:`~repro.core.workload.fixpoint_round_bound` rounds that
+        all sent messages rather than return a partial result.
         """
+        fixpoint = max_iterations is None
+        if fixpoint:
+            max_iterations = fixpoint_round_bound(self.num_vertices())
         graph = self.map_vertices(lambda v, _old: initial(v))
         previous_vertices = None
         for _iteration in range(max_iterations):
@@ -151,11 +162,16 @@ class GraphXGraph:
                 previous_vertices.unpersist()
             previous_vertices = graph.vertices
             graph = next_graph
+        else:
+            if fixpoint:
+                raise RuntimeError(
+                    f"pregel fixpoint not reached in {max_iterations} iterations"
+                )
         if previous_vertices is not None:
             previous_vertices.unpersist()
         return graph.vertices
 
-    def connected_components(self, max_iterations: int = 100) -> RDD:
+    def connected_components(self) -> RDD:
         """GraphX's built-in connected components (min-id propagation).
 
         Returns ``(vertex, component)`` where the component label is
@@ -178,5 +194,5 @@ class GraphXGraph:
                 return [(dst, component)]
             return []
 
-        result = self.pregel(initial, vprog, send, min, max_iterations)
+        result = self.pregel(initial, vprog, send, min)
         return result.map_values(lambda value: value[0], name="components")

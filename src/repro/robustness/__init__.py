@@ -6,7 +6,7 @@ cells alongside runtimes. This package makes those outcomes
 reproducible:
 
 * :mod:`repro.robustness.errors` — the typed failure envelope
-  (``SimulatedOOM``, ``SimulatedTimeout``, injected-fault types);
+  (``SimulatedOOM``, injected-fault types);
 * :mod:`repro.robustness.memory` — the per-platform memory-footprint
   model behind ``graphalytics run --mem-limit``;
 * :mod:`repro.robustness.faults` — seeded fault injection (stragglers,
@@ -17,7 +17,6 @@ from repro.robustness.errors import (
     SimulatedFault,
     SimulatedMessageLoss,
     SimulatedOOM,
-    SimulatedTimeout,
     SimulatedWorkerCrash,
 )
 from repro.robustness.faults import FaultInjector, FaultPlan
@@ -32,7 +31,6 @@ from repro.robustness.memory import (
 
 __all__ = [
     "SimulatedOOM",
-    "SimulatedTimeout",
     "SimulatedFault",
     "SimulatedWorkerCrash",
     "SimulatedMessageLoss",

@@ -7,17 +7,17 @@ specification makes timeout/failure outcomes part of the official
 result format. This module gives every simulated failure a *type*:
 drivers never raise bare ``Exception``, so the Benchmark Core can
 distinguish deterministic platform limits (:class:`SimulatedOOM`,
-:class:`SimulatedTimeout`, re-exported from :mod:`repro.core.errors`)
-from injected faults, and retry only the transient ones.
+re-exported from :mod:`repro.core.errors`) from injected faults, and
+retry only the transient ones. The runtime budget is the Benchmark
+Core's ``time_limit_seconds``, checked after each run.
 """
 
 from __future__ import annotations
 
-from repro.core.errors import PlatformFailure, SimulatedOOM, SimulatedTimeout
+from repro.core.errors import PlatformFailure, SimulatedOOM
 
 __all__ = [
     "SimulatedOOM",
-    "SimulatedTimeout",
     "SimulatedFault",
     "SimulatedWorkerCrash",
     "SimulatedMessageLoss",

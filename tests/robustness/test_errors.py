@@ -8,7 +8,6 @@ from repro.robustness.errors import (
     SimulatedFault,
     SimulatedMessageLoss,
     SimulatedOOM,
-    SimulatedTimeout,
     SimulatedWorkerCrash,
 )
 
@@ -17,13 +16,11 @@ def test_simulated_limits_are_the_core_types():
     """Robustness re-exports the core types — one class, two imports,
     so `except SimulatedOOM` catches both sides."""
     assert robustness_errors.SimulatedOOM is core_errors.SimulatedOOM
-    assert robustness_errors.SimulatedTimeout is core_errors.SimulatedTimeout
 
 
 def test_every_simulated_failure_is_a_platform_failure():
     failures = [
         SimulatedOOM("giraph", "budget"),
-        SimulatedTimeout("giraph", 12.0, 10.0),
         SimulatedWorkerCrash("giraph", 0, 1),
         SimulatedMessageLoss("giraph", 0, 1, 2),
     ]
@@ -37,7 +34,6 @@ def test_every_simulated_failure_is_a_platform_failure():
 def test_reasons_are_stable_identifiers():
     """Report labels and retry logic key on these exact strings."""
     assert SimulatedOOM("p").reason == "out-of-memory"
-    assert SimulatedTimeout("p", 2.0, 1.0).reason == "timeout"
     assert SimulatedWorkerCrash("p", 0, 0).reason == "worker-crash"
     assert SimulatedMessageLoss("p", 0, 1, 0).reason == "message-loss"
 
@@ -47,14 +43,6 @@ def test_transient_flag_defaults_and_overrides():
     assert not SimulatedWorkerCrash("p", 0, 0).transient
     assert SimulatedWorkerCrash("p", 0, 0, transient=True).transient
     assert SimulatedFault("p", "synthetic", transient=True).transient
-
-
-def test_timeout_message_names_both_budget_and_actual():
-    failure = SimulatedTimeout("mapreduce", 4521.7, 3600.0)
-    assert "4521.7" in str(failure)
-    assert "3600.0" in str(failure)
-    assert failure.simulated_seconds == 4521.7
-    assert failure.budget_seconds == 3600.0
 
 
 def test_message_loss_names_the_channel():

@@ -13,7 +13,6 @@ from repro.core.errors import (
     GraphalyticsError,
     PlatformFailure,
     SimulatedOOM,
-    SimulatedTimeout,
 )
 from repro.core.report import ReportGenerator
 from repro.core.workload import Algorithm, BenchmarkRunSpec
@@ -77,19 +76,6 @@ def test_oom_is_deterministic_across_runs(graph):
             platform.run_algorithm(handle, Algorithm.BFS)
         messages.append(str(failure.value))
     assert messages[0] == messages[1]
-
-
-def test_timeout_is_typed(graph):
-    (platform,) = create_platform_fleet(
-        ClusterSpec.paper_distributed(), names=["giraph"]
-    )
-    platform.timeout_seconds = 1e-9
-    handle = platform.upload_graph("g", graph)
-    with pytest.raises(SimulatedTimeout) as failure:
-        platform.run_algorithm(handle, Algorithm.BFS)
-    assert failure.value.reason == "timeout"
-    assert failure.value.simulated_seconds > failure.value.budget_seconds
-    assert isinstance(failure.value, PlatformFailure)
 
 
 def test_injected_crash_is_typed(graph):

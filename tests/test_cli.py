@@ -373,21 +373,27 @@ def test_run_with_mem_limit_records_failure_cells(tmp_path, capsys):
     assert "mem-limit = 16384 bytes/worker" in out
 
 
-def test_run_with_timeout_records_failure_cells(tmp_path, capsys):
+def test_run_with_time_limit_records_failure_cells(tmp_path, capsys):
     code = main(
         [
             "run",
             "--graphs", "graph500-7",
             "--platforms", "giraph,neo4j",
             "--algorithms", "BFS",
-            "--timeout", "1e-9",
+            "--time-limit", "1e-9",
             "--report", str(tmp_path / "report.txt"),
         ]
     )
     assert code == 1
     out = capsys.readouterr().out
     assert "T/O" in out
-    assert "timeout" in out
+    assert "time-limit" in out
+
+
+def test_run_has_no_timeout_flag(capsys):
+    """The runtime budget is ``--time-limit``; ``--timeout`` is gone."""
+    with pytest.raises(SystemExit):
+        main(["run", "--timeout", "1"])
 
 
 def test_run_with_injected_transient_fault_and_retry(tmp_path, capsys):
