@@ -50,10 +50,11 @@ audit:
 audit-fixtures:
 	$(PYTHON) tests/analysis/fixtures/audit/regen.py
 
-# Quick harness for a local signal, then the tracked floors (frontier
-# and all-active PageRank kernels, the columnar MapReduce shuffle,
-# scale-18 datagen, and mmap graph load) — the same suite CI's
-# "Performance floors" step runs.
+# Quick harness for a local signal, then the tracked floors (BFS/CONN
+# frontier kernels of the pregel, gas, graphx, dataflow and gpu
+# engines, the all-active PageRank kernels, the columnar MapReduce
+# shuffle, scale-18 datagen, and mmap graph load) — the same suite
+# CI's "Performance floors" step runs.
 perf:
 	$(PYTHON) -m repro.cli perf --quick
 	$(PYTHON) -m pytest -x -q benchmarks/perf

@@ -6,8 +6,10 @@ graph" the targets are stated against), with the datagen micro kernel
 at scale 18 (multi-million-edge regime) — refreshes the repository's
 ``BENCH_kernels.json``, and asserts the speedup floors:
 
-* every converted platform's vectorized BFS frontier kernel must beat
-  the scalar path by at least 3x;
+* every converted platform's vectorized BFS and CONN frontier kernels
+  must beat the scalar path by at least 3x — Giraph, GraphLab and
+  GraphX, plus the Stratosphere delta iteration (``dataflow-*``) and
+  the Medusa GPU engine on its device spec (``gpu-*``);
 * every converted platform's all-active PageRank kernel must beat the
   scalar path by at least 3x (PR sends a message per edge per round,
   so the bulk path has the most scalar overhead to amortize);
@@ -47,6 +49,10 @@ SPEEDUP_FLOORS = {
     "gas-pagerank-allactive": 3.0,
     "graphx-pagerank-allactive": 3.0,
     "mapreduce-bfs-shuffle": 3.0,
+    "dataflow-bfs-frontier": 3.0,
+    "dataflow-conn-frontier": 3.0,
+    "gpu-bfs-frontier": 3.0,
+    "gpu-conn-frontier": 3.0,
     "datagen-rmat": 10.0,
     "graph-load": 3.0,
 }

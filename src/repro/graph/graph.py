@@ -564,17 +564,23 @@ class Graph:
         ``len(frontier)`` per-vertex ``neighbors()`` CSR slices — the
         core primitive of the bulk BFS/CONN kernels.
         """
-        idx = self.indices_of(frontier)
-        starts = self._offsets[idx]
-        counts = self._offsets[idx + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
+        targets, _ = self.arcs_of(self.indices_of(frontier))
+        return self._vertex_ids[targets]
+
+    def arcs_of(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The out-arcs of dense vertex ``indices``, concatenated.
+
+        Returns ``(targets, counts)``: the dense target indices of each
+        vertex's CSR slice in turn, and each vertex's out-degree — the
+        repeat counts that spread per-vertex values over its arcs.
+        """
+        starts = self._offsets[indices]
+        counts = self._offsets[indices + 1] - starts
         # Standard CSR gather: positions[i] walks each slice in turn.
         bounds = np.cumsum(counts)
-        positions = np.arange(total, dtype=np.int64)
+        positions = np.arange(int(counts.sum()), dtype=np.int64)
         positions += np.repeat(starts - (bounds - counts), counts)
-        return self._vertex_ids[self._targets[positions]]
+        return self._targets[positions], counts
 
     # -- derived graphs -----------------------------------------------
 

@@ -39,7 +39,10 @@ from repro.core.stats import RuntimeStats
 from repro.core.workload import Algorithm, AlgorithmParams
 from repro.graph.generators import rmat_graph
 from repro.graph.graph import Graph
+from repro.platforms.dataflow.driver import StratospherePlatform
 from repro.platforms.gas.driver import GraphLabPlatform
+from repro.platforms.gpu.driver import MedusaPlatform
+from repro.platforms.gpu.engine import gpu_device_spec
 from repro.platforms.mapreduce.driver import MapReducePlatform
 from repro.platforms.pregel.driver import GiraphPlatform
 from repro.platforms.rddgraph.driver import GraphXPlatform
@@ -58,12 +61,21 @@ SCHEMA = "graphalytics-perf/2"
 #: Default report location, tracked at the repository root.
 DEFAULT_OUTPUT = "BENCH_kernels.json"
 
-#: Platform drivers that accept a ``bulk=`` toggle.
+
+def _medusa(cluster: ClusterSpec, bulk: bool) -> MedusaPlatform:
+    """Medusa on its device spec: a GPU is one worker, not a cluster."""
+    return MedusaPlatform(gpu_device_spec(), bulk=bulk)
+
+
+#: Platform drivers that accept a ``bulk=`` toggle, called as
+#: ``factory(cluster, bulk=...)``.
 _PLATFORM_CLASSES = {
     "giraph": GiraphPlatform,
     "graphlab": GraphLabPlatform,
     "graphx": GraphXPlatform,
     "mapreduce": MapReducePlatform,
+    "stratosphere": StratospherePlatform,
+    "medusa": _medusa,
 }
 
 
@@ -88,6 +100,8 @@ def default_kernels() -> list[KernelSpec]:
     BFS, CONN, and PR are the algorithms with bulk kernels on every
     converted platform (PR is the all-active stress case: every vertex
     sends every round, so the vectorized path earns the most). The
+    dataflow (Stratosphere delta iteration) and GPU (Medusa, on its
+    device spec) engines have BFS and CONN kernels only. The
     MapReduce kernel times the columnar ``RecordBatch`` executor
     against the per-record scalar engine. The micro kernels cover the
     rest of the data plane: vectorized R-MAT generation and mmap graph
@@ -104,6 +118,10 @@ def default_kernels() -> list[KernelSpec]:
         KernelSpec("graphx-conn-frontier", "graphx", Algorithm.CONN),
         KernelSpec("graphx-pagerank-allactive", "graphx", Algorithm.PR),
         KernelSpec("mapreduce-bfs-shuffle", "mapreduce", Algorithm.BFS),
+        KernelSpec("dataflow-bfs-frontier", "stratosphere", Algorithm.BFS),
+        KernelSpec("dataflow-conn-frontier", "stratosphere", Algorithm.CONN),
+        KernelSpec("gpu-bfs-frontier", "medusa", Algorithm.BFS),
+        KernelSpec("gpu-conn-frontier", "medusa", Algorithm.CONN),
         KernelSpec("datagen-rmat", "datagen", Algorithm.BFS, kind="micro"),
         KernelSpec("graph-load", "datasets", Algorithm.BFS, kind="micro"),
     ]

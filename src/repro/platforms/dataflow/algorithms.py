@@ -6,6 +6,12 @@ for their fixed iteration counts (label propagation and damped rank
 updates are dense by nature); STATS and LCC are single
 expand + aggregate pipelines; EVO runs one delta round per fire hop.
 Outputs match the references exactly (PR to per-vertex tolerance).
+
+These are the scalar, per-record programs and the cost oracle. BFS
+and CONN also have vectorized twins in
+:mod:`repro.platforms.dataflow.bulk`, which the Stratosphere driver
+runs by default; they charge the same operators with bit-identical
+profiles.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.algorithms.evo import evo_arrivals
 from repro.core import etl
-from repro.core.cost import RunProfile
+from repro.core.cost import ClusterSpec, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
 from repro.core.workload import Algorithm, AlgorithmParams
 from repro.graph.graph import Graph
@@ -18,6 +18,7 @@ from repro.platforms.dataflow.algorithms import (
     dataflow_sssp,
     dataflow_stats,
 )
+from repro.platforms.dataflow.bulk import bulk_bfs, bulk_conn
 from repro.platforms.dataflow.engine import (
     EDGE_BYTES,
     SOLUTION_ENTRY_BYTES,
@@ -36,6 +37,13 @@ class StratospherePlatform(Platform):
     """
 
     name = "stratosphere"
+
+    def __init__(self, cluster: ClusterSpec, bulk: bool = True):
+        super().__init__(cluster)
+        #: Vectorized delta iterations for BFS/CONN; ``bulk=False``
+        #: forces the scalar per-record operators (the cost profile is
+        #: identical either way).
+        self.bulk = bulk
 
     def _load(self, name: str, graph: Graph) -> GraphHandle:
         undirected = graph.to_undirected()
@@ -65,11 +73,16 @@ class StratospherePlatform(Platform):
         engine = DataflowEngine(adjacency, self.cluster, meter)
         try:
             if algorithm is Algorithm.BFS:
-                output = dataflow_bfs(
-                    engine, params.resolve_bfs_source(handle.graph)
-                )
+                source = params.resolve_bfs_source(handle.graph)
+                if self.bulk:
+                    output = bulk_bfs(engine, handle.graph, source)
+                else:
+                    output = dataflow_bfs(engine, source)
             elif algorithm is Algorithm.CONN:
-                output = dataflow_conn(engine)
+                if self.bulk:
+                    output = bulk_conn(engine, handle.graph)
+                else:
+                    output = dataflow_conn(engine)
             elif algorithm is Algorithm.CD:
                 output = dataflow_cd(
                     engine,

@@ -15,7 +15,9 @@ of which really executes and charges the cost meter:
 :meth:`DataflowEngine.delta_iteration` wires these into the
 Stratosphere/Flink loop: iterate a step function on the workset until
 it is empty, one barrier per iteration, only delta records ever
-shuffled.
+shuffled. BFS and CONN also run as vectorized delta iterations
+(:mod:`repro.platforms.dataflow.bulk`) that charge the same operators
+bit for bit.
 """
 
 from __future__ import annotations
@@ -91,14 +93,33 @@ class DataflowEngine:
 
     def create_solution_set(self, initial: dict[int, Any]) -> None:
         """Materialize the indexed solution set (charged memory)."""
-        self._release_solution()
         self.solution = dict(initial)
-        self._solution_bytes = len(self.solution) * SOLUTION_ENTRY_BYTES
+        self.reserve_solution(len(self.solution))
+
+    def reserve_solution(self, entries: int) -> None:
+        """Charge the memory of an ``entries``-sized solution set.
+
+        :meth:`create_solution_set` charges through here; the bulk
+        delta iteration, which keeps its solution in a dense array,
+        calls it directly.
+        """
+        self._release_solution()
+        self._solution_bytes = entries * SOLUTION_ENTRY_BYTES
         per_worker = self._solution_bytes / max(self.spec.num_workers, 1)
         for worker in range(self.spec.num_workers):
             self.meter.allocate_memory(worker, per_worker)
 
     # -- operators ------------------------------------------------------------
+
+    @property
+    def remote_fraction(self) -> float:
+        """Share of shuffled records that cross the network.
+
+        Hash partitioning over W workers keeps 1/W of the records
+        local, so a (W-1)/W fraction is remote.
+        """
+        workers = self.spec.num_workers
+        return (workers - 1) / workers if workers > 1 else 0.0
 
     def expand(
         self,
@@ -125,14 +146,10 @@ class DataflowEngine:
             meter.charge_compute(
                 worker, (1 + len(self.adjacency[vertex]) + produced) * RECORD_CPU_OPS
             )
-        # Workset records shuffle to the edge partitions; with W
-        # workers a (W-1)/W fraction crosses the network.
-        fraction = (
-            (self.spec.num_workers - 1) / self.spec.num_workers
-            if self.spec.num_workers > 1
-            else 0.0
+        # Workset records shuffle to the edge partitions.
+        meter.charge_shuffle(
+            count * RECORD_BYTES * self.remote_fraction, count=count
         )
-        meter.charge_shuffle(count * RECORD_BYTES * fraction, count=count)
         return out
 
     def aggregate(
@@ -155,12 +172,7 @@ class DataflowEngine:
             meter.charge_compute(
                 _worker_of(key, self.spec.num_workers), RECORD_CPU_OPS
             )
-        fraction = (
-            (self.spec.num_workers - 1) / self.spec.num_workers
-            if self.spec.num_workers > 1
-            else 0.0
-        )
-        meter.charge_shuffle(remote_bytes * fraction, count=count)
+        meter.charge_shuffle(remote_bytes * self.remote_fraction, count=count)
         return grouped
 
     def join_solution(

@@ -28,8 +28,8 @@ class MedusaPlatform(GiraphPlatform):
     name = "medusa"
     single_machine = True
 
-    def __init__(self, cluster: ClusterSpec | None = None):
-        super().__init__(cluster or gpu_device_spec())
+    def __init__(self, cluster: ClusterSpec | None = None, bulk: bool = True):
+        super().__init__(cluster or gpu_device_spec(), bulk=bulk)
         if self.cluster.num_workers != 1:
             raise ValueError("a GPU device is a single worker")
 
@@ -64,7 +64,7 @@ class MedusaPlatform(GiraphPlatform):
     ) -> tuple[object, RunProfile]:
         meter = self._run_meter()
         meter.charge_startup()
-        engine = GPUEngine(handle.graph, self.cluster, meter)
+        engine = GPUEngine(handle.graph, self.cluster, meter, bulk=self.bulk)
         program = self._build_program(handle.graph, algorithm, params)
         result = engine.run(program)
         output = self._extract_output(algorithm, program, result)

@@ -14,6 +14,13 @@ interface as the Giraph simulation, but with GPU execution semantics:
 
 Messages are exchanged through device-memory buffers, so there is no
 "network": message handling is just more per-thread work.
+
+Those are the *cost* semantics, and they stay dense per warp on both
+execution paths. Host execution is a separate matter: programs that
+offer a :meth:`~repro.platforms.pregel.engine.VertexProgram.bulk_step`
+kernel (BFS, CONN) run each superstep as numpy array operations in
+:mod:`repro.platforms.gpu.bulk`, with bit-identical profiles;
+``bulk=False`` forces the per-thread Python path.
 """
 
 from __future__ import annotations
@@ -116,19 +123,28 @@ class _GPUVertexContext:
 class GPUEngine:
     """Executes Pregel vertex programs with GPU cost semantics."""
 
-    def __init__(self, graph, spec: ClusterSpec, meter: CostMeter | None = None):
+    def __init__(
+        self,
+        graph,
+        spec: ClusterSpec,
+        meter: CostMeter | None = None,
+        bulk: bool = True,
+    ):
         undirected = graph.to_undirected()
         self.graph = undirected
         self.spec = spec
         self.meter = meter or CostMeter(spec)
-        self.adjacency = {
-            int(v): [int(u) for u in undirected.neighbors(int(v))]
-            for v in undirected.vertices
-        }
+        #: Take the vectorized path for programs that offer a
+        #: :meth:`VertexProgram.bulk_step` kernel; ``False`` forces the
+        #: scalar per-thread path (the cost profile is identical).
+        self.bulk = bulk
+        # The adjacency dict is built lazily: the bulk path never
+        # touches it.
+        self._adjacency: dict[int, list[int]] | None = None
         self._weighted_adjacency: dict[int, list[tuple[int, float]]] | None = None
-        self.num_arcs = sum(len(adj) for adj in self.adjacency.values())
+        self.num_arcs = len(undirected.csr()[1])
         #: Dense thread order: consecutive vertex ids share a warp.
-        self.thread_order = sorted(self.adjacency)
+        self.thread_order = undirected.vertices.tolist()
         self.aggregated: dict[str, Any] = {}
         self._pending_aggregates: dict[str, Any] = {}
         self._persistent_totals: dict[str, Any] = {}
@@ -136,6 +152,16 @@ class GPUEngine:
         self._outbox_bytes = 0.0
         self._program: VertexProgram | None = None
         self._resident = 0.0
+
+    @property
+    def adjacency(self) -> dict[int, list[int]]:
+        """Out-adjacency as Python lists, built on first (scalar) use."""
+        if self._adjacency is None:
+            self._adjacency = {
+                int(v): [int(u) for u in self.graph.neighbors(int(v))]
+                for v in self.graph.vertices
+            }
+        return self._adjacency
 
     @property
     def weighted_adjacency(self) -> dict[int, list[tuple[int, float]]]:
@@ -169,7 +195,7 @@ class GPUEngine:
 
     def _load(self, program: VertexProgram) -> None:
         resident = (
-            len(self.adjacency) * (VERTEX_BYTES + program.value_bytes)
+            len(self.thread_order) * (VERTEX_BYTES + program.value_bytes)
             + self.num_arcs * EDGE_BYTES
         )
         self._resident = resident
@@ -182,10 +208,22 @@ class GPUEngine:
     # -- execution -------------------------------------------------------------
 
     def run(self, program: VertexProgram) -> PregelResult:
-        """Execute to halting; returns the Pregel-compatible result."""
+        """Execute to halting; returns the Pregel-compatible result.
+
+        Programs that offer a :meth:`VertexProgram.bulk_step` kernel
+        run through :class:`~repro.platforms.gpu.bulk.GPUBulkRunner`
+        (unless the engine was built with ``bulk=False``); the cost
+        profile is identical either way.
+        """
         self._program = program
         self._load(program)
         try:
+            kernel = program.bulk_step() if self.bulk else None
+            if kernel is not None:
+                # Imported here: the bulk module depends on this one.
+                from repro.platforms.gpu.bulk import GPUBulkRunner
+
+                return GPUBulkRunner(self, program, kernel).run()
             return self._run_supersteps(program)
         finally:
             self._unload()

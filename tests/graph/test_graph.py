@@ -218,3 +218,13 @@ class TestBulkAccessors:
         graph = Graph.from_edges([(10, 30), (30, 700), (10, 700)])
         got = graph.frontier_neighbors([30, 10])
         assert got.tolist() == [10, 700, 30, 700]
+
+    def test_arcs_of_returns_dense_targets_and_degrees(self):
+        graph = Graph.from_edges(
+            [(10, 30), (30, 700), (10, 700)], vertices=[10, 30, 700, 900]
+        )
+        targets, counts = graph.arcs_of(graph.indices_of([30, 900, 10]))
+        assert graph.vertices[targets].tolist() == [10, 700, 30, 700]
+        assert counts.tolist() == [2, 0, 2]
+        empty_targets, empty_counts = graph.arcs_of(graph.indices_of([]))
+        assert empty_targets.tolist() == [] and empty_counts.tolist() == []

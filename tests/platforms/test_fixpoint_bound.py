@@ -160,9 +160,11 @@ def test_graphx_pregel_raises_at_the_bound(cluster_spec):
 
 #: Every module that binds the bound for a round-based engine.
 _BOUND_USERS = (
+    "repro.platforms.dataflow.bulk",
     "repro.platforms.dataflow.engine",
     "repro.platforms.gas.bulk",
     "repro.platforms.gas.engine",
+    "repro.platforms.gpu.bulk",
     "repro.platforms.gpu.engine",
     "repro.platforms.mapreduce.driver",
     "repro.platforms.pregel.bulk",

@@ -1,7 +1,8 @@
 """Exact scalar/bulk equivalence across every converted platform.
 
 The vectorized bulk paths (``pregel/bulk.py``, ``gas/bulk.py``,
-``rddgraph/bulk.py``, and the batched MapReduce shuffle accounting)
+``rddgraph/bulk.py``, ``dataflow/bulk.py``, ``gpu/bulk.py``, and the
+batched MapReduce shuffle accounting)
 promise *bit-identical* results to the scalar per-record paths — not
 approximately equal. The charges they batch are all integer-valued
 floats, and float64 addition of integers below 2**53 is exact, so one
@@ -14,8 +15,10 @@ hand-listed — so an algorithm that gains a bulk kernel (BFS, CONN,
 and PR have them today) is automatically held to the bar, and an
 algorithm without one must still produce identical results and
 profiles by running the same scalar path under both flags. The sweep
-covers a directed graph, an undirected graph, and a graph with sparse
-vertex ids plus an isolated vertex. "Identical" means the algorithm
+covers a directed graph, an undirected graph, a graph with sparse
+vertex ids plus an isolated vertex, and a high-diameter lattice whose
+traversals take dozens of rounds of small frontiers (R-MAT's take a
+handful). "Identical" means the algorithm
 outputs, the per-round charge structure, and the profile totals
 (``simulated_seconds``, ``total_messages``, peak memory) all compare
 equal with ``==``.
@@ -25,9 +28,12 @@ import pytest
 
 from repro.core.cost import ClusterSpec
 from repro.core.workload import Algorithm, AlgorithmParams
-from repro.graph.generators import rmat_graph
+from repro.graph.generators import grid_graph, rmat_graph
 from repro.graph.graph import Graph
+from repro.platforms.dataflow.driver import StratospherePlatform
 from repro.platforms.gas.driver import GraphLabPlatform
+from repro.platforms.gpu.driver import MedusaPlatform
+from repro.platforms.gpu.engine import gpu_device_spec
 from repro.platforms.mapreduce.driver import MapReducePlatform
 from repro.platforms.pregel.driver import GiraphPlatform
 from repro.platforms.rddgraph.driver import GraphXPlatform
@@ -38,6 +44,8 @@ CONVERTED_PLATFORMS = [
     GraphLabPlatform,
     GraphXPlatform,
     MapReducePlatform,
+    StratospherePlatform,
+    MedusaPlatform,
 ]
 
 #: Every algorithm, auto-discovered from the enum: new algorithms (and
@@ -63,7 +71,19 @@ GRAPHS = {
         scale=6, edge_factor=8, seed=7, directed=False
     ),
     "sparse-ids": _sparse_id_graph,
+    # 256 vertices, BFS eccentricity 26 from the corner source.
+    "grid": lambda: grid_graph(16, diagonal_probability=0.05, seed=11),
 }
+
+
+def _cluster(platform_cls) -> ClusterSpec:
+    """The spec a platform runs on in the sweep.
+
+    Medusa is one GPU device and refuses the 10-worker cluster.
+    """
+    if platform_cls is MedusaPlatform:
+        return gpu_device_spec()
+    return ClusterSpec.paper_distributed()
 
 
 def profile_key(profile):
@@ -96,7 +116,7 @@ def profile_key(profile):
 def _run(platform_cls, bulk: bool, graph: Graph, algorithm: Algorithm):
     if algorithm is Algorithm.SSSP and not graph.is_weighted:
         graph = graph.with_uniform_weights(seed=3)
-    platform = platform_cls(ClusterSpec.paper_distributed(), bulk=bulk)
+    platform = platform_cls(_cluster(platform_cls), bulk=bulk)
     handle = platform.upload_graph("equivalence", graph)
     run = platform.run_algorithm(handle, algorithm, AlgorithmParams())
     return run.output, profile_key(run.profile)
@@ -140,4 +160,4 @@ def test_mapreduce_bulk_covers_every_job(algorithm):
 )
 def test_bulk_is_the_default(platform_cls):
     # The fast path must be what the benchmark actually runs.
-    assert platform_cls(ClusterSpec.paper_distributed()).bulk is True
+    assert platform_cls(_cluster(platform_cls)).bulk is True
