@@ -7,9 +7,9 @@ export PYTHONPATH := src
 
 COVERAGE_FLOOR := $(shell cat .coverage-floor 2>/dev/null || echo 0)
 
-.PHONY: check test test-fast differential e2e-contract quality \
-	quality-fixtures audit audit-fixtures perf trace-smoke whatif-smoke \
-	coverage
+.PHONY: check test test-fast differential e2e-contract paper-shapes \
+	quality quality-fixtures audit audit-fixtures perf trace-smoke \
+	whatif-smoke coverage
 
 check:
 	$(PYTHON) -m repro.cli selfcheck
@@ -32,6 +32,18 @@ differential:
 # tier-1 testpaths, so this target (and its CI step) is what runs them.
 e2e-contract:
 	$(PYTHON) -m pytest -x -q e2e_bench/tests
+
+# The paper's expected shapes (DESIGN.md "Expected shapes") that hold
+# today: the choke-point and message-combining ablations, the
+# extension platforms, and the Section 3.5 code-quality report.
+# Figures 4 and 5 join once the paper-1gbe testbed is calibrated.
+# CI runs this as its "Paper shapes" step.
+PAPER_SHAPES := benchmarks/test_ablation_chokepoints.py \
+	benchmarks/test_extension_platforms.py \
+	benchmarks/test_section35_code_quality.py
+
+paper-shapes:
+	$(PYTHON) -m pytest -x -q $(PAPER_SHAPES)
 
 quality:
 	$(PYTHON) -m repro.cli quality --check --baseline .quality-baseline.json

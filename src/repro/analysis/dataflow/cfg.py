@@ -137,6 +137,7 @@ class _Builder:
     # -- statement dispatch ----------------------------------------------
 
     def build(self) -> CFG:
+        """The function's CFG, from ENTRY through its body to EXIT."""
         exits = self._build_body(self.func.body, [CFG.ENTRY])
         self._connect(exits, CFG.EXIT)
         return CFG(func=self.func, nodes=self.nodes)

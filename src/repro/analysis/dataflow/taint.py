@@ -168,6 +168,7 @@ class _TaintAnalysis(ForwardAnalysis):
         self.labels: dict[str, str] = {}
 
     def initial_state(self):
+        """Tainted names at entry: the parameters when seeding them."""
         if not self.seed_params:
             return frozenset()
         params = self.info.param_names
@@ -178,9 +179,11 @@ class _TaintAnalysis(ForwardAnalysis):
         return frozenset(params)
 
     def join(self, a, b):
+        """Merge two paths: a name is tainted if either path taints it."""
         return a | b
 
     def transfer(self, node: CFGNode, state):
+        """Tainted names after ``node``'s statement runs."""
         stmt = node.stmt
         if stmt is None:
             return state

@@ -130,12 +130,15 @@ class _ProtocolAnalysis(ForwardAnalysis):
         self.summaries = summaries
 
     def initial_state(self):
+        """Open-round depths at entry: none open."""
         return frozenset({0})
 
     def join(self, a, b):
+        """Merge two paths: every depth either path can reach."""
         return a | b
 
     def transfer(self, node: CFGNode, state):
+        """Depths after the meter calls in ``node``."""
         for call in node_calls(node):
             state = self._apply(call, state)
         return state

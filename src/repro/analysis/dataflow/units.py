@@ -533,9 +533,11 @@ class _EnvAnalysis(ForwardAnalysis):
         self.evaluator = evaluator
 
     def initial_state(self) -> _State:
+        """The unit environment at function entry."""
         return self.evaluator.initial_state
 
     def join(self, a: _State, b: _State) -> _State:
+        """Merge two environments name by name (``unit_join``)."""
         left, right = dict(a), dict(b)
         merged: dict[str, Unit] = {}
         for name in left.keys() | right.keys():
@@ -546,6 +548,7 @@ class _EnvAnalysis(ForwardAnalysis):
         return tuple(sorted(merged.items()))
 
     def transfer(self, node, state: _State) -> _State:
+        """The environment after ``node``'s statement runs."""
         stmt = node.stmt
         if stmt is None:
             return state
@@ -633,6 +636,7 @@ class _FunctionEvaluator:
     # -- expression evaluation ---------------------------------------------
 
     def lookup(self, name: str, env: dict[str, Unit]) -> Unit:
+        """Unit of a name: its binding, else a module constant, else unknown."""
         bound = env.get(name)
         if bound is not None:
             return bound
@@ -960,6 +964,7 @@ class _FunctionEvaluator:
     # -- statements --------------------------------------------------------
 
     def transfer(self, stmt: ast.stmt, state: _State) -> _State:
+        """The environment after one statement binds its targets."""
         env = dict(state)
         if isinstance(stmt, ast.Assign):
             value_unit = self.unit_of(stmt.value, env)
@@ -1142,6 +1147,7 @@ class _UnitsAnalysis:
     # -- per-module tables -------------------------------------------------
 
     def pragmas_of(self, module: ModuleContext) -> dict[int, Unit]:
+        """Unit pragmas of a module, by line (cached)."""
         cached = self._pragmas.get(id(module))
         if cached is None:
             cached = {}
@@ -1192,6 +1198,7 @@ class _UnitsAnalysis:
         return cached
 
     def anchors_of(self, module: ModuleContext) -> dict[int, int]:
+        """Statement anchor lines of a module (cached)."""
         cached = self._anchors.get(id(module))
         if cached is None:
             cached = statement_anchors(module.tree)
@@ -1201,11 +1208,13 @@ class _UnitsAnalysis:
     def resolve(
         self, caller: FunctionInfo, call: ast.Call
     ) -> FunctionInfo | None:
+        """The function a call resolves to, if the call graph knows it."""
         return self.graph.resolve_call(caller, call)
 
     # -- the pass ----------------------------------------------------------
 
     def scoped_functions(self) -> list[FunctionInfo]:
+        """Every function in a module the units rules cover."""
         functions: list[FunctionInfo] = []
         for module in self.project.modules:
             if not module.in_scope(UNITS_SCOPE):
@@ -1214,6 +1223,7 @@ class _UnitsAnalysis:
         return functions
 
     def run(self) -> list[tuple[ModuleContext, Finding]]:
+        """Run the pass: summaries to a fixpoint, then per-function findings."""
         functions = self.scoped_functions()
         summaries = self._fixpoint_summaries(functions)
         results: list[tuple[ModuleContext, Finding]] = []

@@ -574,12 +574,10 @@ class Graph:
         vertex's CSR slice in turn, and each vertex's out-degree — the
         repeat counts that spread per-vertex values over its arcs.
         """
-        starts = self._offsets[indices]
-        counts = self._offsets[indices + 1] - starts
-        # Standard CSR gather: positions[i] walks each slice in turn.
-        bounds = np.cumsum(counts)
-        positions = np.arange(int(counts.sum()), dtype=np.int64)
-        positions += np.repeat(starts - (bounds - counts), counts)
+        # Imported here: the platforms package imports this module.
+        from repro.platforms.frontier import csr_gather
+
+        positions, counts = csr_gather(self._offsets, indices)
         return self._targets[positions], counts
 
     # -- derived graphs -----------------------------------------------

@@ -55,9 +55,11 @@ class RunMetrics:
 
     @property
     def key(self) -> tuple[str, str, str]:
+        """The ``(platform, graph, algorithm)`` cell this run fills."""
         return (self.platform, self.graph, self.algorithm)
 
     def label(self) -> str:
+        """``platform/graph/algorithm`` for report lines."""
         return f"{self.platform}/{self.graph}/{self.algorithm.lower()}"
 
     def runtime_stats(self) -> RuntimeStats | None:
@@ -85,6 +87,7 @@ class Regression:
     detail: str
 
     def describe(self) -> str:
+        """One report line: the cell and what moved."""
         platform, graph, algorithm = self.key
         return (
             f"{platform}/{graph}/{algorithm.lower()}: {self.detail}"

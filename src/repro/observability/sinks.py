@@ -125,6 +125,7 @@ class JsonlTraceWriter(TraceSink):
     # -- events --------------------------------------------------------
 
     def on_run_begin(self, platform, graph, algorithm, spec) -> None:
+        """Write a run-begin event with the cluster spec."""
         self.attempt += 1
         self._write(
             {
@@ -138,12 +139,14 @@ class JsonlTraceWriter(TraceSink):
         )
 
     def on_charge(self, kind, round_index, fields) -> None:
+        """Write one charge event (when charges are traced)."""
         if self.charges:
             self._write(
                 {"event": "charge", "kind": kind, "round": round_index, **fields}
             )
 
     def on_round_end(self, index, record, straggler_penalty_seconds=0.0) -> None:
+        """Write one round span with its full cost breakdown."""
         span = {
             "event": "round",
             "index": index,
@@ -179,12 +182,14 @@ class JsonlTraceWriter(TraceSink):
         self._write(span)
 
     def on_fault(self, kind, round_index, detail) -> None:
+        """Write one injected-fault event."""
         self._write(
             {"event": "fault", "kind": kind, "round": round_index,
              "detail": detail}
         )
 
     def on_run_end(self, profile, status) -> None:
+        """Write a run-end event with the profile totals."""
         event = {"event": "run-end", "status": status}
         if profile is not None:
             event["startup_seconds"] = profile.startup_seconds
@@ -217,12 +222,15 @@ class InMemoryAggregator(TraceSink):
         self.straggler_penalty_seconds = 0.0
 
     def on_run_begin(self, platform, graph, algorithm, spec) -> None:
+        """Count a started run."""
         self.runs_started += 1
 
     def on_charge(self, kind, round_index, fields) -> None:
+        """Count one charge of ``kind``."""
         self.charge_counts[kind] = self.charge_counts.get(kind, 0) + 1
 
     def on_round_end(self, index, record, straggler_penalty_seconds=0.0) -> None:
+        """Add one round's traffic, disk bytes and seconds."""
         self.rounds += 1
         self.remote_bytes += record.remote_bytes
         self.disk_bytes += record.disk_read_bytes + record.disk_write_bytes
@@ -231,9 +239,11 @@ class InMemoryAggregator(TraceSink):
         self.straggler_penalty_seconds += straggler_penalty_seconds
 
     def on_fault(self, kind, round_index, detail) -> None:
+        """Count one fault of ``kind``."""
         self.faults[kind] = self.faults.get(kind, 0) + 1
 
     def on_run_end(self, profile, status) -> None:
+        """Count a finished or failed run."""
         if status == "success":
             self.runs_finished += 1
         else:
@@ -269,10 +279,12 @@ class MonitorSink(TraceSink):
         self._clock = 0.0
 
     def on_round_end(self, index, record, straggler_penalty_seconds=0.0) -> None:
+        """Append the round's utilization sample on the run clock."""
         self._clock += record.seconds
         self.samples.append(sample_from_record(record, self._clock))
 
     def on_run_begin(self, platform, graph, algorithm, spec) -> None:
+        """Start a fresh series and clock for the run."""
         # Each execution gets its own simulated clock.
         self.samples = []
         self._clock = 0.0

@@ -18,11 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.platforms.columnar.columns import CompressedColumn, FloatColumn
+from repro.platforms.hashing import hash_worker, hash_workers
 
 __all__ = ["ColumnTable", "PartitionedHashTable"]
-
-_KNUTH = 2654435761
-
 
 class ColumnTable:
     """A named, immutable table of compressed columns."""
@@ -107,11 +105,11 @@ class PartitionedHashTable:
 
     def partition_of(self, value: int) -> int:
         """Partition owning a value (stable hash)."""
-        return ((int(value) * _KNUTH) & 0xFFFFFFFF) % self.num_partitions
+        return hash_worker(value, self.num_partitions)
 
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """Exchange operator: split a vector into per-partition vectors."""
-        parts = (values.astype(np.int64) * _KNUTH & 0xFFFFFFFF) % self.num_partitions
+        parts = hash_workers(values, self.num_partitions)
         return [values[parts == p] for p in range(self.num_partitions)]
 
     def insert_new(self, partition: int, values: np.ndarray) -> np.ndarray:

@@ -18,12 +18,13 @@ from repro.platforms.dataflow.algorithms import (
     dataflow_sssp,
     dataflow_stats,
 )
-from repro.platforms.dataflow.bulk import bulk_bfs, bulk_conn
+from repro.platforms.dataflow.bulk import delta_min_label
 from repro.platforms.dataflow.engine import (
     EDGE_BYTES,
     SOLUTION_ENTRY_BYTES,
     DataflowEngine,
 )
+from repro.platforms.frontier import BFS, CONN
 
 __all__ = ["StratospherePlatform"]
 
@@ -75,12 +76,12 @@ class StratospherePlatform(Platform):
             if algorithm is Algorithm.BFS:
                 source = params.resolve_bfs_source(handle.graph)
                 if self.bulk:
-                    output = bulk_bfs(engine, handle.graph, source)
+                    output = delta_min_label(engine, handle.graph, BFS(source))
                 else:
                     output = dataflow_bfs(engine, source)
             elif algorithm is Algorithm.CONN:
                 if self.bulk:
-                    output = bulk_conn(engine, handle.graph)
+                    output = delta_min_label(engine, handle.graph, CONN())
                 else:
                     output = dataflow_conn(engine)
             elif algorithm is Algorithm.CD:

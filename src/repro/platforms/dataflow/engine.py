@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable
 
 from repro.core.cost import ClusterSpec, CostMeter
 from repro.core.workload import fixpoint_round_bound
+from repro.platforms.hashing import hash_worker
 
 __all__ = ["DataflowEngine", "DeltaIterationStats"]
 
@@ -38,12 +39,6 @@ RECORD_CPU_OPS = 3.0
 SOLUTION_ENTRY_BYTES = 40.0
 #: Resident bytes per edge in the hash-partitioned edge table.
 EDGE_BYTES = 16.0
-
-_KNUTH = 2654435761
-
-
-def _worker_of(key: int, num_workers: int) -> int:
-    return ((int(key) * _KNUTH) & 0xFFFFFFFF) % num_workers
 
 
 @dataclass
@@ -136,7 +131,7 @@ class DataflowEngine:
         out: list[tuple[int, Any]] = []
         count = 0
         for vertex, payload in workset:
-            worker = _worker_of(vertex, self.spec.num_workers)
+            worker = hash_worker(vertex, self.spec.num_workers)
             count += 1
             produced = 0
             for neighbor in self.adjacency[vertex]:
@@ -170,7 +165,7 @@ class DataflowEngine:
             else:
                 grouped[key] = value
             meter.charge_compute(
-                _worker_of(key, self.spec.num_workers), RECORD_CPU_OPS
+                hash_worker(key, self.spec.num_workers), RECORD_CPU_OPS
             )
         meter.charge_shuffle(remote_bytes * self.remote_fraction, count=count)
         return grouped
@@ -189,7 +184,7 @@ class DataflowEngine:
         meter = self.meter
         deltas: dict[int, Any] = {}
         for key, candidate in candidates.items():
-            worker = _worker_of(key, self.spec.num_workers)
+            worker = hash_worker(key, self.spec.num_workers)
             meter.charge_random_access(worker, 1)
             updated = accept(key, self.solution.get(key), candidate)
             if updated is not None:
@@ -200,7 +195,7 @@ class DataflowEngine:
         """Write accepted deltas into the indexed state."""
         meter = self.meter
         for key, value in deltas.items():
-            worker = _worker_of(key, self.spec.num_workers)
+            worker = hash_worker(key, self.spec.num_workers)
             meter.charge_random_access(worker, 1)
             self.solution[key] = value
 

@@ -2,13 +2,12 @@
 
 The scalar engine runs Python-level ``gather``/``apply``/``scatter``
 calls per incident arc and per active vertex, with one ``CostMeter``
-charge per event. For programs whose phases are elementwise numpy
-expressions with a ``min`` gather sum — BFS distance pulling and
-HashMin label propagation — a whole round collapses into a handful of
-CSR array operations, with per-worker tallies computed by
-``np.bincount`` and charged through the batched
-:meth:`~repro.core.cost.CostMeter.charge_compute_bulk` /
-:meth:`~repro.core.cost.CostMeter.charge_messages_bulk` APIs.
+charge per event. For the min-label programs — BFS distance pulling
+and HashMin label propagation — a whole round collapses into a
+handful of CSR array operations: the rule, the CSR gather, the
+min-combine and the per-worker charging come from
+:mod:`repro.platforms.frontier`, and this module keeps only
+PowerGraph's cost semantics.
 
 The contract, verified by ``tests/test_bulk_equivalence.py``: a bulk
 run produces *bit-identical* outputs and cost profiles to the scalar
@@ -26,182 +25,47 @@ path. The charge structure below therefore mirrors
   mirror;
 * scatter — one op per incident arc on the owning worker.
 
-A program opts in by returning a :class:`GASBulkKernel` from
-:meth:`~repro.platforms.gas.engine.GASProgram.bulk_rounds`; the engine
-falls back to the scalar path for everything else (and always for
-:meth:`~repro.platforms.gas.engine.GASEngine.run_async`).
+A program opts in by returning a :class:`~repro.platforms.frontier.
+MinLabelRule` from :meth:`~repro.platforms.gas.engine.GASProgram.
+bulk_rounds`; the engine runs it only while the program's gather,
+gather sum, apply and scatter are the ones that declared the rule,
+and never for :meth:`~repro.platforms.gas.engine.GASEngine.run_async`.
 """
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
-from repro.algorithms.bfs import UNREACHABLE
 from repro.core.workload import fixpoint_round_bound
+from repro.platforms.frontier import (
+    MinLabelRule,
+    charge_ops,
+    charge_pair_messages,
+    csr_gather,
+    distinct,
+    min_by_key,
+)
 
-__all__ = [
-    "GASBulkKernel",
-    "GASBFSBulkKernel",
-    "GASConnBulkKernel",
-    "BulkRoundRunner",
-    "GASPageRankBulkRunner",
-]
-
-
-class GASBulkKernel(abc.ABC):
-    """Vectorized counterpart of a :class:`GASProgram`'s three phases.
-
-    Kernels operate on dense vertex indices (positions in
-    ``graph.vertices``) and integer-valued numpy arrays. The runner
-    owns all cost accounting; a kernel only transforms values and
-    decides which arcs contribute and which vertices activate.
-    """
-
-    #: Combination of gather contributions (``gather_sum`` semantics).
-    reduce = np.minimum
-
-    @abc.abstractmethod
-    def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Dense initial value array (one entry per vertex id)."""
-
-    @abc.abstractmethod
-    def initially_active(
-        self, vertex_ids: np.ndarray, values: np.ndarray
-    ) -> np.ndarray:
-        """Sorted dense indices of the round-0 active set."""
-
-    @abc.abstractmethod
-    def gather_arcs(
-        self, neighbor_values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-arc contributions from the neighbors' current values.
-
-        Returns ``(mask, contributions)`` where ``mask`` marks the
-        arcs that contribute (scalar ``gather`` returned non-``None``)
-        and ``contributions`` holds one value per *masked* arc.
-        """
-
-    @abc.abstractmethod
-    def apply(
-        self,
-        active: np.ndarray,
-        old_values: np.ndarray,
-        gathered_mask: np.ndarray,
-        gathered: np.ndarray,
-    ) -> np.ndarray:
-        """New value per active vertex from the combined gathers.
-
-        ``gathered`` is only meaningful where ``gathered_mask`` is
-        set (vertices whose gather produced at least one
-        contribution).
-        """
-
-    def scatter_flags(
-        self, old_values: np.ndarray, new_values: np.ndarray
-    ) -> np.ndarray:
-        """Which active vertices activate their neighbors (per vertex).
-
-        BFS and CONN scatter predicates depend only on the vertex's
-        own old/new value, so one flag per active vertex expands to
-        all of its incident arcs.
-        """
-        return new_values != old_values
-
-
-class GASBFSBulkKernel(GASBulkKernel):
-    """Vectorized GAS BFS (pull the minimum neighbor distance).
-
-    Mirrors :class:`~repro.platforms.gas.programs.GASBFSProgram`: only
-    the source starts active; reached neighbors offer ``distance + 1``;
-    a newly reached vertex adopts the minimum offer and wakes its
-    neighbors.
-    """
-
-    def __init__(self, source: int):
-        self.source = source
-        self._source_idx: int | None = None
-
-    def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """All vertices start unreached; remembers the source index."""
-        position = int(np.searchsorted(vertex_ids, self.source))
-        self._source_idx = (
-            position
-            if position < len(vertex_ids)
-            and vertex_ids[position] == self.source
-            else None
-        )
-        return np.full(len(vertex_ids), UNREACHABLE, dtype=np.int64)
-
-    def initially_active(self, vertex_ids, values):
-        """Only the source starts active (nothing if it is absent)."""
-        if self._source_idx is None:
-            return np.empty(0, dtype=np.int64)
-        return np.array([self._source_idx], dtype=np.int64)
-
-    def gather_arcs(self, neighbor_values):
-        """Reached neighbors offer ``their distance + 1``."""
-        mask = neighbor_values != UNREACHABLE
-        return mask, neighbor_values[mask] + 1
-
-    def apply(self, active, old_values, gathered_mask, gathered):
-        """Adopt the gathered distance on first reach (source: 0)."""
-        new_values = old_values.copy()
-        unreached = old_values == UNREACHABLE
-        adopt = unreached & gathered_mask
-        new_values[adopt] = gathered[adopt]
-        # The source bootstraps to 0 regardless of gathers, exactly
-        # like the scalar apply's `vertex == source` branch.
-        source_here = unreached & (active == self._source_idx)
-        new_values[source_here] = 0
-        return new_values
-
-
-class GASConnBulkKernel(GASBulkKernel):
-    """Vectorized GAS CONN (minimum-label propagation).
-
-    Mirrors :class:`~repro.platforms.gas.programs.GASConnProgram`:
-    everyone starts active in its own component; every arc offers the
-    neighbor's label; a vertex adopts a strictly smaller label and
-    wakes its neighbors.
-    """
-
-    def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Every vertex starts labeled with its own id."""
-        return vertex_ids.astype(np.int64, copy=True)
-
-    def initially_active(self, vertex_ids, values):
-        """Everyone participates in round 0."""
-        return np.arange(len(vertex_ids), dtype=np.int64)
-
-    def gather_arcs(self, neighbor_values):
-        """Every arc offers the neighbor's current label."""
-        return np.ones(len(neighbor_values), dtype=bool), neighbor_values
-
-    def apply(self, active, old_values, gathered_mask, gathered):
-        """Adopt a smaller label when one arrived."""
-        adopt = gathered_mask & (gathered < old_values)
-        return np.where(adopt, gathered, old_values)
-
-    def scatter_flags(self, old_values, new_values):
-        """A shrunken label wakes the neighbors that can still improve."""
-        return new_values < old_values
+__all__ = ["BulkRoundRunner", "GASPageRankBulkRunner"]
 
 
 class BulkRoundRunner:
-    """Drives a :class:`GASBulkKernel` with exact scalar-path costs.
+    """Drives a :class:`~repro.platforms.frontier.MinLabelRule` with
+    exact scalar-path costs.
 
     Instantiated by :meth:`GASEngine.run` when the program offers a
-    kernel and the engine's bulk path is enabled; reads the engine's
+    rule and the engine's bulk path is enabled; reads the engine's
     vectorized vertex-cut arrays (arc owners, masters, mirror lists)
     so every per-worker tally matches the scalar loops bit for bit.
+    Arcs pull: every incident arc of an active vertex offers its
+    neighbor's label plus ``hop`` when the neighbor is
+    :meth:`~repro.platforms.frontier.MinLabelRule.reached`.
     """
 
-    def __init__(self, engine, program, kernel: GASBulkKernel):
+    def __init__(self, engine, program, rule: MinLabelRule | None):
         self.engine = engine
         self.program = program
-        self.kernel = kernel
+        self.rule = rule
         graph = engine.graph
         self.ids = graph.vertices
         self.offsets, self.targets = graph.csr()
@@ -217,9 +81,9 @@ class BulkRoundRunner:
         """Execute to quiescence; returns a scalar-identical result."""
         from repro.platforms.gas.engine import GASResult
 
-        meter, program, kernel = self.engine.meter, self.program, self.kernel
-        values = kernel.initial_values(self.ids)
-        active = kernel.initially_active(self.ids, values)
+        meter, program, rule = self.engine.meter, self.program, self.rule
+        values = rule.initial_values(self.ids)
+        active, seed_labels = rule.seeds(self.ids)
 
         rounds = 0
         bound = program.max_rounds() or fixpoint_round_bound(self.n)
@@ -229,29 +93,31 @@ class BulkRoundRunner:
             # Gather: one op per incident arc, on the edge's worker,
             # contributing or not.
             arc_ops = np.bincount(arc_owner, minlength=self.num_workers)
-            self._charge_ops(arc_ops)
-            mask, contributions = kernel.gather_arcs(values[arc_neighbor])
+            charge_ops(meter, arc_ops)
+            neighbor_values = values[arc_neighbor]
+            offering = rule.reached(neighbor_values)
             gathered_vertices, gathered = self._exchange_partials(
-                np.repeat(active, arc_counts)[mask], arc_owner[mask], contributions
+                np.repeat(active, arc_counts)[offering],
+                arc_owner[offering],
+                neighbor_values[offering] + rule.hop,
             )
-            # Spread the per-vertex gathers over the active set.
-            slots = np.searchsorted(active, gathered_vertices)
-            gathered_mask = np.zeros(len(active), dtype=bool)
-            gathered_mask[slots] = True
-            gathered_full = np.zeros(len(active), dtype=np.int64)
-            gathered_full[slots] = gathered
-            # Apply: one op per active vertex on its master; broadcast
-            # changed values to the mirrors.
-            self._charge_ops(
-                np.bincount(self.masters[active], minlength=self.num_workers)
+            # Apply: one op per active vertex on its master; the seeds
+            # take their labels inside round 0's apply. Changed values
+            # broadcast to the mirrors.
+            charge_ops(
+                meter, np.bincount(self.masters[active], minlength=self.num_workers)
             )
             old_values = values[active]
-            new_values = kernel.apply(active, old_values, gathered_mask, gathered_full)
-            self._broadcast_changes(active[new_values != old_values])
-            # Scatter: one op per incident arc on the edge's worker.
-            self._charge_ops(arc_ops)
-            flags = kernel.scatter_flags(old_values, new_values)
-            next_active = np.unique(arc_neighbor[np.repeat(flags, arc_counts)])
+            new_values = seed_labels if rounds == 0 else old_values.copy()
+            slots = np.searchsorted(active, gathered_vertices)
+            adopt = rule.accept(new_values[slots], gathered)
+            new_values[slots[adopt]] = gathered[adopt]
+            changed = new_values != old_values
+            self._broadcast_changes(active[changed])
+            # Scatter: one op per incident arc on the edge's worker; a
+            # changed vertex wakes all of its neighbors.
+            charge_ops(meter, arc_ops)
+            next_active = distinct(arc_neighbor[np.repeat(changed, arc_counts)])
             values[active] = new_values
             meter.end_round(active_vertices=len(active))
             active = next_active
@@ -261,10 +127,7 @@ class BulkRoundRunner:
                 f"{type(program).__name__} exceeded {bound} rounds"
             )
         return GASResult(
-            values={
-                int(vertex): int(value)
-                for vertex, value in zip(self.ids, values)
-            },
+            values=dict(zip(self.ids.tolist(), values.tolist())),
             rounds=rounds,
             replication_factor=self.engine.replication_factor,
         )
@@ -280,15 +143,7 @@ class BulkRoundRunner:
         grouped by active vertex — the same arc enumeration the scalar
         gather and scatter loops walk.
         """
-        starts = self.offsets[active]
-        counts = self.offsets[active + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, counts
-        bounds = np.cumsum(counts)
-        positions = np.arange(total, dtype=np.int64)
-        positions += np.repeat(starts - (bounds - counts), counts)
+        positions, counts = csr_gather(self.offsets, active)
         return self.arc_workers[positions], self.targets[positions], counts
 
     def _exchange_partials(
@@ -297,74 +152,51 @@ class BulkRoundRunner:
         contrib_workers: np.ndarray,
         contributions: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Combine contributions per (vertex, worker), sync to masters.
+        """Min-combine contributions per (vertex, worker), sync to masters.
 
-        Charges one ``gather_bytes`` message per partial held off its
-        vertex's master and one combine op per partial on the master,
-        exactly like the scalar mirror→master exchange. Returns the
-        sorted vertices that gathered anything and their combined
-        values.
+        Returns the sorted vertices that gathered anything and their
+        combined values.
         """
-        if len(contrib_vertices) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        key = contrib_vertices * self.num_workers + contrib_workers
-        order = np.argsort(key, kind="stable")
-        pair_keys, first = np.unique(key[order], return_index=True)
-        partials = self.kernel.reduce.reduceat(contributions[order], first)
+        pair_keys, partials = min_by_key(
+            contrib_vertices * self.num_workers + contrib_workers, contributions
+        )
+        pair_vertex = self._sync_partials(pair_keys)
+        return min_by_key(pair_vertex, partials)
+
+    def _sync_partials(self, pair_keys: np.ndarray) -> np.ndarray:
+        """Charge the mirror→master sync of ``vertex * W + worker`` partials.
+
+        One ``gather_bytes`` message per partial held off its vertex's
+        master and one combine op per partial on the master, exactly
+        like the scalar exchange. Returns each partial's vertex.
+        """
         pair_vertex = pair_keys // self.num_workers
         pair_worker = pair_keys % self.num_workers
         pair_master = self.masters[pair_vertex]
         remote = pair_worker != pair_master
-        self._charge_pair_messages(
-            pair_worker[remote], pair_master[remote], self.gather_payload
+        charge_pair_messages(
+            self.engine.meter,
+            pair_worker[remote],
+            pair_master[remote],
+            self.num_workers,
+            self.gather_payload,
         )
-        # One combine op on the master per per-worker partial.
-        self._charge_ops(np.bincount(pair_master, minlength=self.num_workers))
-        gathered_vertices, vertex_first = np.unique(pair_vertex, return_index=True)
-        gathered = self.kernel.reduce.reduceat(partials, vertex_first)
-        return gathered_vertices, gathered
+        charge_ops(
+            self.engine.meter,
+            np.bincount(pair_master, minlength=self.num_workers),
+        )
+        return pair_vertex
 
     def _broadcast_changes(self, changed: np.ndarray) -> None:
         """Master→mirror value messages for every changed vertex."""
-        if len(changed) == 0:
-            return
-        starts = self.mirror_offsets[changed]
-        counts = self.mirror_offsets[changed + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return
-        bounds = np.cumsum(counts)
-        positions = np.arange(total, dtype=np.int64)
-        positions += np.repeat(starts - (bounds - counts), counts)
-        self._charge_pair_messages(
+        positions, counts = csr_gather(self.mirror_offsets, changed)
+        charge_pair_messages(
+            self.engine.meter,
             np.repeat(self.masters[changed], counts),
             self.mirror_workers[positions],
+            self.num_workers,
             self.value_payload,
         )
-
-    # -- charging helpers ---------------------------------------------
-
-    def _charge_ops(self, ops_per_worker: np.ndarray) -> None:
-        """Charge precomputed per-worker op tallies in bulk."""
-        meter = self.engine.meter
-        for worker in np.nonzero(ops_per_worker)[0]:
-            meter.charge_compute_bulk(int(worker), float(ops_per_worker[worker]))
-
-    def _charge_pair_messages(
-        self, src_workers: np.ndarray, dst_workers: np.ndarray, payload: float
-    ) -> None:
-        """Bulk-charge one message per (src, dst) worker-pair member."""
-        meter = self.engine.meter
-        pair = src_workers * self.num_workers + dst_workers
-        pair_counts = np.bincount(pair, minlength=self.num_workers ** 2)
-        for index in np.nonzero(pair_counts)[0]:
-            meter.charge_messages_bulk(
-                int(index) // self.num_workers,
-                int(index) % self.num_workers,
-                int(pair_counts[index]),
-                payload,
-            )
 
 
 class GASPageRankBulkRunner(BulkRoundRunner):
@@ -382,7 +214,7 @@ class GASPageRankBulkRunner(BulkRoundRunner):
     """
 
     def __init__(self, engine, program):
-        super().__init__(engine, program, kernel=None)
+        super().__init__(engine, program, rule=None)
 
     def run(self):
         """Execute ``iterations`` synchronous rounds; scalar-identical."""
@@ -406,20 +238,20 @@ class GASPageRankBulkRunner(BulkRoundRunner):
             meter.begin_round(f"gas-{rounds}")
             arc_owner, arc_neighbor, arc_counts = self._expand_arcs(active)
             arc_ops = np.bincount(arc_owner, minlength=self.num_workers)
-            self._charge_ops(arc_ops)  # gather: one op per incident arc
+            charge_ops(meter, arc_ops)  # gather: one op per incident arc
             contributions = values[arc_neighbor] / degrees[arc_neighbor]
             gathered = self._exchange_sum_partials(
                 np.repeat(active, arc_counts), arc_owner, contributions, active
             )
             # Apply on the masters; every vertex's (rank, iteration)
             # value changes, so every mirror hears about it.
-            self._charge_ops(
-                np.bincount(self.masters[active], minlength=self.num_workers)
+            charge_ops(
+                meter, np.bincount(self.masters[active], minlength=self.num_workers)
             )
             values[active] = base + damping * gathered
             applied[active] += 1
             self._broadcast_changes(active)
-            self._charge_ops(arc_ops)  # scatter: one op per incident arc
+            charge_ops(meter, arc_ops)  # scatter: one op per incident arc
             meter.end_round(active_vertices=len(active))
             rounds += 1
             if rounds < iterations:
@@ -462,15 +294,7 @@ class GASPageRankBulkRunner(BulkRoundRunner):
         )
         pair_partials = np.zeros(len(pair_keys), dtype=np.float64)
         np.add.at(pair_partials, inverse, contributions)
-        pair_vertex = pair_keys // self.num_workers
-        pair_worker = pair_keys % self.num_workers
-        pair_master = self.masters[pair_vertex]
-        remote = pair_worker != pair_master
-        self._charge_pair_messages(
-            pair_worker[remote], pair_master[remote], self.gather_payload
-        )
-        # One combine op on the master per per-worker partial.
-        self._charge_ops(np.bincount(pair_master, minlength=self.num_workers))
+        pair_vertex = self._sync_partials(pair_keys)
         slots = np.searchsorted(active, pair_vertex)
         insertion = np.argsort(first, kind="stable")
         np.add.at(gathered, slots[insertion], pair_partials[insertion])

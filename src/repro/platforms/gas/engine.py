@@ -32,6 +32,8 @@ import numpy as np
 from repro.core.cost import ClusterSpec, CostMeter
 from repro.core.workload import fixpoint_round_bound
 from repro.graph.graph import Graph
+from repro.platforms.frontier import runs_kernel
+from repro.platforms.hashing import KNUTH, hash_worker, hash_workers
 
 __all__ = ["GASProgram", "GASEngine", "GASResult", "edge_partition_of"]
 
@@ -40,13 +42,24 @@ REPLICA_BYTES = 48.0
 #: Per-edge storage on the owning worker.
 EDGE_BYTES = 16.0
 
-_KNUTH = 2654435761
+#: The scalar hooks a bulk rule or runner reproduces (see
+#: :func:`~repro.platforms.frontier.runs_kernel`).
+SCALAR_HOOKS = (
+    "gather",
+    "gather_sum",
+    "apply",
+    "scatter",
+    "initial_value",
+    "initially_active",
+    "gather_size",
+    "value_size",
+)
 
 
 def edge_partition_of(source: int, target: int, num_workers: int) -> int:
     """Hash-assign an undirected edge to a worker (the vertex cut)."""
     low, high = (source, target) if source <= target else (target, source)
-    mixed = ((low * _KNUTH) ^ (high * 0x9E3779B9)) & 0xFFFFFFFF
+    mixed = ((low * KNUTH) ^ (high * 0x9E3779B9)) & 0xFFFFFFFF
     return mixed % num_workers
 
 
@@ -102,21 +115,23 @@ class GASProgram(abc.ABC):
         return None
 
     def bulk_rounds(self):
-        """Optional vectorized whole-round kernel.
+        """Optional min-label rule the whole round vectorizes to.
 
-        Programs whose gather/apply/scatter phases are elementwise
-        expressions with a ``min`` gather sum and fixed message sizes
-        may return a :class:`~repro.platforms.gas.bulk.GASBulkKernel`;
-        the engine then executes synchronous rounds as numpy
-        operations with bit-identical cost accounting. The default
-        ``None`` keeps the scalar per-arc path.
+        Min-label programs (BFS, CONN: ``min`` gather sum, fixed
+        message sizes) return a
+        :class:`~repro.platforms.frontier.MinLabelRule`; the engine
+        then executes synchronous rounds as numpy operations with
+        bit-identical cost accounting. The default ``None`` keeps the
+        scalar per-arc path, and so does a subclass that overrides
+        one of :data:`SCALAR_HOOKS` without declaring its own rule
+        (:func:`~repro.platforms.frontier.runs_kernel`).
         """
         return None
 
     def bulk_runner(self, engine: "GASEngine"):
         """The vectorized executor for this program, if any.
 
-        The default wraps :meth:`bulk_rounds`'s kernel in the
+        The default wraps :meth:`bulk_rounds`'s rule in the
         min-reducing :class:`~repro.platforms.gas.bulk.BulkRoundRunner`.
         Programs whose vectorized execution does not fit that shape —
         PageRank's order-sensitive float gather sum — override this to
@@ -126,10 +141,10 @@ class GASProgram(abc.ABC):
         # Imported here: the bulk module depends on this one.
         from repro.platforms.gas.bulk import BulkRoundRunner
 
-        kernel = self.bulk_rounds()
-        if kernel is None:
+        rule = self.bulk_rounds()
+        if rule is None:
             return None
-        return BulkRoundRunner(engine, self, kernel)
+        return BulkRoundRunner(engine, self, rule)
 
 
 @dataclass
@@ -169,21 +184,18 @@ class GASEngine:
         self.spec = spec
         self.meter = meter or CostMeter(spec)
         #: Take the vectorized round path for programs that offer a
-        #: :meth:`GASProgram.bulk_rounds` kernel; ``False`` forces the
+        #: :meth:`GASProgram.bulk_rounds` rule; ``False`` forces the
         #: scalar per-arc path (the escape hatch).
         self.bulk = bulk
 
         # The vertex cut, computed vectorized over the CSR arrays.
         # For non-negative ids, uint64 wraparound preserves the low 32
-        # bits of each product, so these equal the scalar
-        # :func:`edge_partition_of` / master hash element-wise.
+        # bits of each product, so the cut equals the scalar
+        # :func:`edge_partition_of` element-wise.
         workers = np.uint64(spec.num_workers)
         ids = undirected.vertices
         n = undirected.num_vertices
-        hashed = ids.astype(np.uint64) * np.uint64(_KNUTH)
-        self._masters = (
-            (hashed & np.uint64(0xFFFFFFFF)) % workers
-        ).astype(np.int64)
+        self._masters = hash_workers(ids, spec.num_workers)
         arc_source = np.repeat(
             np.arange(n, dtype=np.int64), undirected.out_degrees()
         )
@@ -240,7 +252,7 @@ class GASEngine:
         low = np.minimum(source_ids, target_ids).astype(np.uint64)
         high = np.maximum(source_ids, target_ids).astype(np.uint64)
         mixed = (
-            (low * np.uint64(_KNUTH)) ^ (high * np.uint64(0x9E3779B9))
+            (low * np.uint64(KNUTH)) ^ (high * np.uint64(0x9E3779B9))
         ) & np.uint64(0xFFFFFFFF)
         return (mixed % num_workers).astype(np.int64)
 
@@ -280,9 +292,7 @@ class GASEngine:
     def _build_cut_dicts(self) -> None:
         """Materialize the scalar path's edge/replica dictionaries."""
         self._topology = {
-            v: _VertexTopology(
-                master=(v * _KNUTH & 0xFFFFFFFF) % self.spec.num_workers
-            )
+            v: _VertexTopology(master=hash_worker(v, self.spec.num_workers))
             for v in self.adjacency
         }
         self._edge_worker = {}
@@ -349,10 +359,16 @@ class GASEngine:
 
         Programs that provide a :meth:`GASProgram.bulk_runner`
         executor run through the vectorized round path (unless the
-        engine was built with ``bulk=False``); the cost profile is
+        engine was built with ``bulk=False``, or a subclass changed the
+        scalar phases the executor reproduces); the cost profile is
         identical either way.
         """
-        runner = program.bulk_runner(self) if self.bulk else None
+        runner = (
+            program.bulk_runner(self)
+            if self.bulk
+            and runs_kernel(program, ("bulk_rounds", "bulk_runner"), SCALAR_HOOKS)
+            else None
+        )
         self._load(program)
         try:
             if runner is not None:

@@ -14,7 +14,7 @@ from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.lcc import lcc_value
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
-from repro.platforms.gas.bulk import GASBFSBulkKernel, GASConnBulkKernel
+from repro.platforms import frontier
 from repro.platforms.gas.engine import GASProgram
 
 __all__ = [
@@ -47,8 +47,8 @@ class GASBFSProgram(GASProgram):
         return vertex == self.source
 
     def bulk_rounds(self):
-        """Vectorized distance-pulling kernel (same semantics)."""
-        return GASBFSBulkKernel(self.source)
+        """The BFS min-label rule (same semantics)."""
+        return frontier.BFS(self.source)
 
     def gather(self, vertex, value, neighbor, neighbor_value, neighbor_degree):
         """A reached neighbor offers distance ``neighbor + 1``."""
@@ -94,8 +94,8 @@ class GASConnProgram(GASProgram):
         return True
 
     def bulk_rounds(self):
-        """Vectorized HashMin propagation kernel (same semantics)."""
-        return GASConnBulkKernel()
+        """The HashMin min-label rule (same semantics)."""
+        return frontier.CONN()
 
     def gather(self, vertex, value, neighbor, neighbor_value, neighbor_degree):
         """Offer the neighbor's current label."""

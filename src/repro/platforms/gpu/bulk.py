@@ -4,9 +4,10 @@ The scalar engine runs one Python-level ``compute`` call per thread,
 one ``_send`` (with its combiner call and outbox allocation) per
 emitted message, and a Python loop over warps per kernel launch. For
 the programs that offer a
-:class:`~repro.platforms.pregel.bulk.BulkVertexKernel` — the same
-BFS and HashMin kernels the Giraph bulk path runs — a whole superstep
-instead runs as numpy operations over the CSR arrays.
+:class:`~repro.platforms.frontier.MinLabelRule` — the same BFS and
+HashMin rules the Giraph bulk path runs — a whole superstep instead
+runs as numpy operations over the CSR arrays, with the propagation
+step and the min-combine from :mod:`repro.platforms.frontier`.
 
 The contract, verified by ``tests/test_bulk_equivalence.py``: a bulk
 run produces *bit-identical* outputs and cost profiles to the scalar
@@ -32,26 +33,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.workload import fixpoint_round_bound
+from repro.platforms.frontier import MinLabelRule, min_by_key
 from repro.platforms.gpu.engine import KERNEL_LAUNCH_SECONDS, WARP_SIZE
-from repro.platforms.pregel.bulk import BulkVertexKernel
 from repro.platforms.pregel.engine import MESSAGE_BYTES, PregelResult
 
 __all__ = ["GPUBulkRunner"]
 
 
 class GPUBulkRunner:
-    """Drives a :class:`BulkVertexKernel` with exact GPU-path costs.
+    """Drives a :class:`~repro.platforms.frontier.MinLabelRule` with
+    exact GPU-path costs.
 
     Instantiated by :meth:`GPUEngine.run` when the program offers a
-    kernel and the engine's bulk path is enabled; shares the engine's
+    rule and the engine's bulk path is enabled; shares the engine's
     meter, so device-memory accounting (resident graph, outbox slots)
     matches the scalar path bit for bit.
     """
 
-    def __init__(self, engine, program, kernel: BulkVertexKernel):
+    def __init__(self, engine, program, rule: MinLabelRule):
         self.engine = engine
         self.program = program
-        self.kernel = kernel
+        self.rule = rule
         self.graph = engine.graph
         self.ids = self.graph.vertices
         self.n = self.graph.num_vertices
@@ -63,15 +65,15 @@ class GPUBulkRunner:
 
     def run(self) -> PregelResult:
         """Execute to halting; returns a scalar-identical result."""
-        meter = self.engine.meter
-        values = self.kernel.initial_values(self.ids)
+        meter, rule = self.engine.meter, self.rule
+        values, seeds, seed_labels = rule.seeded(self.ids)
 
         meter.begin_round("h2d-and-init")
         self._charge_kernel(np.ones(self.lanes, dtype=np.int64))
         meter.end_round(active_vertices=self.n)
 
         frontier = np.arange(self.n, dtype=np.int64)
-        merged: np.ndarray | None = None
+        merged = None
         inbox_bytes = 0.0
         superstep = 0
         bound = self.program.max_supersteps() or fixpoint_round_bound(self.n)
@@ -80,14 +82,17 @@ class GPUBulkRunner:
                 break
             meter.begin_round(f"kernel-{superstep}", barrier=False)
             work = np.ones(self.lanes, dtype=np.int64)
-            work[frontier] = (
-                1 + (0 if merged is None else 1) + self.degrees[frontier]
-            )
-            senders, send_values = self.kernel.compute(
-                superstep, values, frontier, merged
-            )
+            work[frontier] = 1 + min(superstep, 1) + self.degrees[frontier]
+            if superstep == 0:
+                senders, labels = seeds, seed_labels
+            else:
+                senders, labels = rule.relax(values, frontier, merged)
             computed = len(frontier)
-            frontier, merged = self._combine(senders, send_values)
+            # Device-side combining: one outbox slot per distinct target.
+            targets, counts = self.graph.arcs_of(senders)
+            frontier, merged = min_by_key(
+                targets, np.repeat(labels + rule.hop, counts)
+            )
             outbox_bytes = len(frontier) * self.slot_bytes
             if outbox_bytes:
                 meter.allocate_memory(0, outbox_bytes)
@@ -116,24 +121,4 @@ class GPUBulkRunner:
         lane_ops = float(WARP_SIZE * int(busiest.sum()))
         self.engine.meter.charge_compute(
             0, lane_ops / self.engine.spec.cores_per_worker
-        )
-
-    def _combine(
-        self, senders: np.ndarray, send_values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Expand sends over the CSR; min-combine per distinct target.
-
-        Returns the next superstep's ``(frontier, merged)``: the
-        ascending targets and the combined message each one receives.
-        """
-        flat_dst, counts = self.graph.arcs_of(senders)
-        if len(flat_dst) == 0:
-            return flat_dst, None
-        flat_values = np.repeat(send_values, counts)
-        order = np.argsort(flat_dst, kind="stable")
-        sorted_dst = flat_dst[order]
-        first = np.flatnonzero(np.r_[True, sorted_dst[1:] != sorted_dst[:-1]])
-        return (
-            sorted_dst[first],
-            self.kernel.reduce.reduceat(flat_values[order], first),
         )

@@ -18,9 +18,10 @@ Messages are exchanged through device-memory buffers, so there is no
 Those are the *cost* semantics, and they stay dense per warp on both
 execution paths. Host execution is a separate matter: programs that
 offer a :meth:`~repro.platforms.pregel.engine.VertexProgram.bulk_step`
-kernel (BFS, CONN) run each superstep as numpy array operations in
-:mod:`repro.platforms.gpu.bulk`, with bit-identical profiles;
-``bulk=False`` forces the per-thread Python path.
+min-label rule (BFS, CONN) run each superstep as numpy array
+operations in :mod:`repro.platforms.gpu.bulk`, with bit-identical
+profiles, unless a subclass changed the ``compute``/``combiner`` the
+rule reproduces; ``bulk=False`` forces the per-thread Python path.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from typing import Any
 
 from repro.core.cost import ClusterSpec, CostMeter
 from repro.core.workload import fixpoint_round_bound
+from repro.platforms.frontier import runs_kernel
 from repro.platforms.pregel.engine import (
     MESSAGE_BYTES,
+    SCALAR_HOOKS,
     VertexProgram,
     PregelResult,
 )
@@ -135,7 +138,7 @@ class GPUEngine:
         self.spec = spec
         self.meter = meter or CostMeter(spec)
         #: Take the vectorized path for programs that offer a
-        #: :meth:`VertexProgram.bulk_step` kernel; ``False`` forces the
+        #: :meth:`VertexProgram.bulk_step` rule; ``False`` forces the
         #: scalar per-thread path (the cost profile is identical).
         self.bulk = bulk
         # The adjacency dict is built lazily: the bulk path never
@@ -210,20 +213,25 @@ class GPUEngine:
     def run(self, program: VertexProgram) -> PregelResult:
         """Execute to halting; returns the Pregel-compatible result.
 
-        Programs that offer a :meth:`VertexProgram.bulk_step` kernel
+        Programs that offer a :meth:`VertexProgram.bulk_step` rule
         run through :class:`~repro.platforms.gpu.bulk.GPUBulkRunner`
-        (unless the engine was built with ``bulk=False``); the cost
-        profile is identical either way.
+        (unless the engine was built with ``bulk=False``, or a
+        subclass changed the scalar hooks the rule reproduces); the
+        cost profile is identical either way.
         """
         self._program = program
         self._load(program)
         try:
-            kernel = program.bulk_step() if self.bulk else None
-            if kernel is not None:
+            rule = (
+                program.bulk_step()
+                if self.bulk and runs_kernel(program, ("bulk_step",), SCALAR_HOOKS)
+                else None
+            )
+            if rule is not None:
                 # Imported here: the bulk module depends on this one.
                 from repro.platforms.gpu.bulk import GPUBulkRunner
 
-                return GPUBulkRunner(self, program, kernel).run()
+                return GPUBulkRunner(self, program, rule).run()
             return self._run_supersteps(program)
         finally:
             self._unload()

@@ -10,11 +10,12 @@ offsets (the CSR convention used by :class:`repro.graph.graph.Graph`),
 and the per-record scalar state as named numpy columns.
 
 The batch executor in :class:`~repro.platforms.mapreduce.engine.
-MapReduceEngine` replaces dict-of-lists grouping with
-``np.argsort``/``np.minimum.reduceat``, per-tuple ``record_size`` with
-closed-form element counts, and per-key partitioning with one vector
-modulo — while charging the :class:`~repro.core.cost.CostMeter`
-bit-identically to the scalar path (the charges are integer-valued
+MapReduceEngine` replaces dict-of-lists grouping with the shared
+:func:`~repro.platforms.frontier.min_by_key` reduction, per-tuple
+``record_size`` with closed-form element counts, and per-key
+partitioning with one vector modulo — while charging the
+:class:`~repro.core.cost.CostMeter` bit-identically to the scalar
+path (the charges are integer-valued
 floats, so pre-summed bulk totals equal the per-record accumulation
 exactly; see ``CostMeter.charge_compute_bulk``).
 
@@ -29,6 +30,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from repro.platforms.frontier import csr_gather
 
 __all__ = [
     "RecordBatch",
@@ -166,17 +169,7 @@ class RecordBatch:
         ``for neighbor in adj: yield neighbor, (tag, value)`` loop.
         """
         rows = np.nonzero(emitters)[0]
-        starts = self.adj_offsets[rows]
-        counts = self.adj_offsets[rows + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        bounds = np.cumsum(counts)
-        positions = np.arange(total, dtype=np.int64)
-        positions += np.repeat(starts - (bounds - counts), counts)
+        positions, counts = csr_gather(self.adj_offsets, rows)
         return self.adj_targets[positions], np.repeat(values[rows], counts)
 
     def reorder(self, permutation: np.ndarray) -> "RecordBatch":
@@ -191,18 +184,10 @@ class RecordBatch:
             return self
         inverse = np.empty(n, dtype=np.int64)
         inverse[permutation] = np.arange(n, dtype=np.int64)
-        counts = self.degrees[permutation]
+        positions, counts = csr_gather(self.adj_offsets, permutation)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        starts = self.adj_offsets[permutation]
-        total = self.total_adjacency
-        if total:
-            bounds = np.cumsum(counts)
-            positions = np.arange(total, dtype=np.int64)
-            positions += np.repeat(starts - (bounds - counts), counts)
-            targets = inverse[self.adj_targets[positions]]
-        else:
-            targets = self.adj_targets
+        targets = inverse[self.adj_targets[positions]]
         return RecordBatch(
             keys=self.keys[permutation],
             adj_offsets=offsets,
@@ -212,32 +197,6 @@ class RecordBatch:
                 for name, column in self.columns.items()
             },
         )
-
-
-def combine_min_messages(
-    num_rows: int, targets: np.ndarray, payloads: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row minimum over delivered messages (sort + reduceat).
-
-    Returns ``(min_message, has_message)`` arrays over all rows; rows
-    with no message keep an undefined minimum and a ``False`` flag.
-    This is the columnar combiner for the min-semantics jobs — the
-    same reduction the scalar combine (``min(candidates)``) and reduce
-    (``min`` over surviving candidates) apply, fused into one pass.
-    """
-    minimum = np.zeros(num_rows, dtype=np.int64)
-    has_message = np.zeros(num_rows, dtype=bool)
-    if targets.size:
-        order = np.argsort(targets, kind="stable")
-        sorted_targets = targets[order]
-        sorted_payloads = payloads[order]
-        boundaries = np.nonzero(
-            np.r_[True, sorted_targets[1:] != sorted_targets[:-1]]
-        )[0]
-        group_keys = sorted_targets[boundaries]
-        minimum[group_keys] = np.minimum.reduceat(sorted_payloads, boundaries)
-        has_message[group_keys] = True
-    return minimum, has_message
 
 
 # -- vectorized CRC32 ----------------------------------------------------

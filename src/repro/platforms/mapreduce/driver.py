@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.evo import evo_arrivals, transpose_burns
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
 from repro.algorithms.stats import GraphStats
@@ -13,6 +12,7 @@ from repro.core.cost import ClusterSpec, RunProfile
 from repro.core.platform_api import GraphHandle, Platform
 from repro.core.workload import Algorithm, AlgorithmParams, fixpoint_round_bound
 
+from repro.platforms import frontier
 from repro.platforms.mapreduce.batch import RecordBatch
 from repro.platforms.mapreduce.engine import MapReduceEngine, record_size
 from repro.platforms.mapreduce.jobs import (
@@ -114,46 +114,35 @@ class MapReducePlatform(Platform):
         raise RuntimeError(f"fixpoint not reached in {bound} iterations")
 
     def _run_bfs(self, engine, adjacency, source):
-        if engine.bulk:
-            batch = RecordBatch.from_adjacency(adjacency)
-            batch.columns["dist"] = np.where(
-                batch.keys == source, 0, UNREACHABLE
-            ).astype(np.int64)
-            batch = self._run_to_fixpoint(
-                engine, BFSIterationJob, batch, len(adjacency)
-            )
-            return {
-                int(v): int(d)
-                for v, d in zip(
-                    batch.keys.tolist(), batch.columns["dist"].tolist()
-                )
-            }
-        records = [
-            (v, (adj, 0 if v == source else UNREACHABLE))
-            for v, adj in adjacency.items()
-        ]
-        records = self._run_to_fixpoint(
-            engine, BFSIterationJob, records, len(adjacency)
+        return self._run_min_label(
+            engine, adjacency, BFSIterationJob, frontier.BFS(source)
         )
-        return {v: dist for v, (adj, dist) in records}
 
     def _run_conn(self, engine, adjacency, params):
-        if engine.bulk:
-            batch = RecordBatch.from_adjacency(adjacency)
-            batch.columns["label"] = batch.keys.copy()
-            batch = self._run_to_fixpoint(
-                engine, ConnIterationJob, batch, len(adjacency)
-            )
-            return {
-                int(v): int(lbl)
-                for v, lbl in zip(
-                    batch.keys.tolist(), batch.columns["label"].tolist()
-                )
-            }
-        records = [(v, (adj, v)) for v, adj in adjacency.items()]
-        records = self._run_to_fixpoint(
-            engine, ConnIterationJob, records, len(adjacency)
+        return self._run_min_label(
+            engine, adjacency, ConnIterationJob, frontier.CONN()
         )
+
+    def _run_min_label(self, engine, adjacency, make_job, rule):
+        """Chain ``make_job`` iterations from ``rule``'s seeded labels.
+
+        Runs on :class:`RecordBatch` columns when the engine can run
+        the job columnar, else on scalar records; either way the
+        adjacency keys are the sorted vertex ids the rule seeds.
+        """
+        keys = np.fromiter(adjacency, dtype=np.int64, count=len(adjacency))
+        labels, _, _ = rule.seeded(keys)
+        if engine.runs_columnar(make_job(1)):
+            batch = RecordBatch.from_adjacency(adjacency, {"label": labels})
+            batch = self._run_to_fixpoint(engine, make_job, batch, len(keys))
+            return dict(
+                zip(batch.keys.tolist(), batch.columns["label"].tolist())
+            )
+        records = [
+            (v, (adj, label))
+            for (v, adj), label in zip(adjacency.items(), labels.tolist())
+        ]
+        records = self._run_to_fixpoint(engine, make_job, records, len(keys))
         return {v: label for v, (adj, label) in records}
 
     def _run_cd(self, engine, adjacency, params):

@@ -35,9 +35,14 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.core.cost import ClusterSpec, CostMeter
+from repro.platforms.frontier import (
+    MinLabelRule,
+    charge_ops,
+    min_by_key,
+    runs_kernel,
+)
 from repro.platforms.mapreduce.batch import (
     RecordBatch,
-    combine_min_messages,
     repr_sort_permutation,
     str_key_workers,
 )
@@ -119,37 +124,24 @@ def reduce_worker(key: Any, num_workers: int) -> int:
 class MapReduceJob(abc.ABC):
     """One MapReduce job: map, optional combine, reduce.
 
-    Jobs whose records fit the vertex-keyed columnar shape — int64
-    keys, an adjacency list plus one scalar state column, messages
-    that broadcast one scalar to every neighbor and combine with
-    ``min`` — additionally implement the ``batch_*`` hooks and set
-    :attr:`supports_batch`, unlocking the engine's
+    Min-label jobs (BFS, CONN) — int64 keys, an adjacency list plus
+    one label column, messages that broadcast ``label + hop`` to every
+    neighbor and combine with ``min`` — additionally name their
+    :attr:`rule` and :meth:`emitters`, unlocking the engine's
     :class:`~repro.platforms.mapreduce.batch.RecordBatch` executor.
     """
 
     #: Job name used in round labels.
     name: str = "job"
 
-    #: Whether the ``batch_*`` hooks are implemented; the engine falls
-    #: back to the scalar record path otherwise.
-    supports_batch: bool = False
+    #: The min-label rule the columnar executor runs in place of
+    #: ``map``/``combine``/``reduce``; ``None`` keeps the scalar path,
+    #: and so does a subclass that overrides one of those hooks
+    #: without naming its own rule.
+    rule: type[MinLabelRule] | None = None
 
-    def batch_emitters(self, batch: RecordBatch) -> np.ndarray:
-        """Bool mask over records that broadcast to their neighbors."""
-        raise NotImplementedError
-
-    def batch_message_values(self, batch: RecordBatch) -> np.ndarray:
-        """Scalar each emitting record sends (indexed like the batch)."""
-        raise NotImplementedError
-
-    def batch_apply(
-        self,
-        batch: RecordBatch,
-        minimum: np.ndarray,
-        has_message: np.ndarray,
-        counters: dict,
-    ) -> dict[str, np.ndarray]:
-        """New state columns after digesting the combined messages."""
+    def emitters(self, labels: np.ndarray) -> np.ndarray:
+        """Bool mask over the records that broadcast their label."""
         raise NotImplementedError
 
     @abc.abstractmethod
@@ -214,15 +206,14 @@ class MapReduceEngine:
         """Run one job: map, shuffle/sort, reduce, with cost charges.
 
         A :class:`RecordBatch` input selects the columnar executor
-        (requires ``bulk=True`` and a batch-capable job); its charges
-        and output are bit-identical to running the same job over
+        (requires :meth:`runs_columnar`); its charges and output are
+        bit-identical to running the same job over
         ``batch.to_pairs()`` on the scalar path.
         """
         if isinstance(input_records, RecordBatch):
-            if not (self.bulk and job.supports_batch):
+            if not self.runs_columnar(job):
                 raise TypeError(
-                    f"job {job.name} cannot run columnar "
-                    f"(bulk={self.bulk}, supports_batch={job.supports_batch})"
+                    f"job {job.name} cannot run columnar (bulk={self.bulk})"
                 )
             return self._run_job_batch(job, input_records)
         meter = self.meter
@@ -324,6 +315,19 @@ class MapReduceEngine:
 
     # -- columnar execution ------------------------------------------------
 
+    def runs_columnar(self, job: MapReduceJob) -> bool:
+        """Whether ``job`` may run on the columnar executor.
+
+        Needs ``bulk=True`` and a job whose ``map``/``combine``/
+        ``reduce`` are the ones its :attr:`~MapReduceJob.rule` was
+        declared with (:func:`~repro.platforms.frontier.runs_kernel`).
+        """
+        return (
+            self.bulk
+            and job.rule is not None
+            and runs_kernel(job, ("rule",), ("map", "combine", "reduce"))
+        )
+
     def _run_job_batch(self, job: MapReduceJob, batch: RecordBatch) -> JobResult:
         """Columnar map/combine/shuffle/reduce over a :class:`RecordBatch`.
 
@@ -334,11 +338,14 @@ class MapReduceEngine:
         from the batch's degree column instead of walking tuples), and
         per-worker record tallies are the same integer-valued
         ``np.bincount`` sums. Output records come back repr-sorted by
-        key, exactly as the scalar reduce emits them.
+        key, exactly as the scalar reduce emits them. The batch holds
+        one state column: the labels.
         """
         meter = self.meter
         spec = self.spec
         counters: dict = {}
+        rule = job.rule
+        ((column, labels),) = batch.columns.items()
         num_records = len(batch)
         num_columns = len(batch.columns)
         degrees = batch.degrees
@@ -356,11 +363,9 @@ class MapReduceEngine:
         )
         meter.charge_disk_read(None, input_bytes)
 
-        emitters = job.batch_emitters(batch)
+        emitters = job.emitters(labels)
         message_counts = degrees * emitters
-        targets, payloads = batch.gather_messages(
-            emitters, job.batch_message_values(batch)
-        )
+        targets, payloads = batch.gather_messages(emitters, labels + rule.hop)
         # Each record emits its own state record plus its messages;
         # input splits are assigned round-robin by record index.
         self._charge_records_bulk(
@@ -370,10 +375,8 @@ class MapReduceEngine:
 
         # Map-side combine: per key, the state record survives and all
         # candidate messages fold into one minimum.
-        minimum, has_message = combine_min_messages(
-            num_records, targets, payloads
-        )
-        message_keys = int(has_message.sum())
+        rows, offers = min_by_key(targets, payloads)
+        message_keys = len(rows)
         combined_count = num_records + message_keys
         # State records serialize as ("A", adj, *columns); combined
         # messages as ("D", value).
@@ -409,19 +412,18 @@ class MapReduceEngine:
         meter.begin_round(f"reduce-{job.name}")
         # Each key groups its state record plus at most one combined
         # message and re-emits one state record.
-        self._charge_records_bulk(
-            batch.keys % spec.num_workers,
-            (2 + has_message).astype(np.float64),
-        )
-        new_columns = job.batch_apply(batch, minimum, has_message, counters)
+        records = np.full(num_records, 2.0)
+        records[rows] += 1.0
+        self._charge_records_bulk(batch.keys % spec.num_workers, records)
+        labels = labels.copy()
+        accepted, _ = rule.relax(labels, rows, offers)
+        if len(accepted):
+            counters["changed"] = len(accepted)
         output = RecordBatch(
             keys=batch.keys,
             adj_offsets=batch.adj_offsets,
             adj_targets=batch.adj_targets,
-            columns={
-                name: new_columns.get(name, column)
-                for name, column in batch.columns.items()
-            },
+            columns={column: labels},
         ).reorder(repr_sort_permutation(batch.keys))
         output_elements = (1 + num_columns) * num_records + total_adjacency
         output_bytes = (
@@ -475,7 +477,4 @@ class MapReduceEngine:
         per_worker = np.bincount(
             workers, weights=records, minlength=self.spec.num_workers
         )
-        for worker in np.nonzero(per_worker)[0]:
-            self.meter.charge_compute_bulk(
-                int(worker), float(per_worker[worker]) * RECORD_CPU_OPS
-            )
+        charge_ops(self.meter, per_worker * RECORD_CPU_OPS)

@@ -27,6 +27,7 @@ import numpy as np
 from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.lcc import lcc_value
+from repro.platforms import frontier
 from repro.platforms.mapreduce.engine import MapReduceJob
 
 __all__ = [
@@ -51,34 +52,15 @@ class BFSIterationJob(MapReduceJob):
     is still unreached, bumping the ``changed`` counter.
     """
 
-    supports_batch = True
+    rule = frontier.BFS
 
     def __init__(self, iteration: int):
         self.iteration = iteration
         self.name = f"bfs-{iteration}"
 
-    def batch_emitters(self, batch) -> np.ndarray:
+    def emitters(self, labels) -> np.ndarray:
         """Frontier mask: vertices reached in the previous iteration."""
-        return batch.columns["dist"] == self.iteration - 1
-
-    def batch_message_values(self, batch) -> np.ndarray:
-        """Candidate distance every frontier vertex offers: dist + 1."""
-        return batch.columns["dist"] + 1
-
-    def batch_apply(
-        self,
-        batch,
-        minimum: np.ndarray,
-        has_message: np.ndarray,
-        counters: dict,
-    ) -> dict[str, np.ndarray]:
-        """Adopt the smallest candidate where still unreached."""
-        dist = batch.columns["dist"]
-        newly = (dist == UNREACHABLE) & has_message
-        changed = int(newly.sum())
-        if changed:
-            counters["changed"] = counters.get("changed", 0) + changed
-        return {"dist": np.where(newly, minimum, dist)}
+        return labels == self.iteration - 1
 
     def map(self, key: Any, value: Any, counters: dict) -> Iterable[tuple[Any, Any]]:
         """Emit intermediate records (see :class:`MapReduceJob`)."""
@@ -115,34 +97,15 @@ class BFSIterationJob(MapReduceJob):
 class ConnIterationJob(MapReduceJob):
     """One HashMin label-propagation iteration for CONN."""
 
-    supports_batch = True
+    rule = frontier.CONN
 
     def __init__(self, iteration: int):
         self.iteration = iteration
         self.name = f"conn-{iteration}"
 
-    def batch_emitters(self, batch) -> np.ndarray:
+    def emitters(self, labels) -> np.ndarray:
         """Every vertex broadcasts its label each iteration."""
-        return np.ones(len(batch), dtype=bool)
-
-    def batch_message_values(self, batch) -> np.ndarray:
-        """The broadcast payload is the current label."""
-        return batch.columns["label"]
-
-    def batch_apply(
-        self,
-        batch,
-        minimum: np.ndarray,
-        has_message: np.ndarray,
-        counters: dict,
-    ) -> dict[str, np.ndarray]:
-        """HashMin: adopt a strictly smaller received label."""
-        label = batch.columns["label"]
-        improved = has_message & (minimum < label)
-        changed = int(improved.sum())
-        if changed:
-            counters["changed"] = counters.get("changed", 0) + changed
-        return {"label": np.where(improved, minimum, label)}
+        return np.ones(len(labels), dtype=bool)
 
     def map(self, key: Any, value: Any, counters: dict) -> Iterable[tuple[Any, Any]]:
         """Emit intermediate records (see :class:`MapReduceJob`)."""

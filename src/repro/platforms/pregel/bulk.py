@@ -1,14 +1,12 @@
 """Vectorized (bulk) superstep execution for the Pregel engine.
 
 The scalar engine runs one Python-level ``compute`` call per vertex
-and one ``CostMeter`` charge per vertex/message. For data-parallel
-programs whose per-vertex kernel is a pure function of the merged
-inbox — BFS frontier expansion and HashMin label propagation — the
-whole superstep can instead run as a handful of numpy operations over
-the CSR arrays, with per-worker op/message tallies computed by
-``np.bincount`` and charged through the batched
-:meth:`~repro.core.cost.CostMeter.charge_compute_bulk` /
-:meth:`~repro.core.cost.CostMeter.charge_messages_bulk` APIs.
+and one ``CostMeter`` charge per vertex/message. For the min-label
+programs — BFS frontier expansion and HashMin label propagation —
+the whole superstep instead runs as numpy operations over the CSR
+arrays: the propagation step, the CSR gather, the min-combine and the
+per-worker charging come from :mod:`repro.platforms.frontier`, and
+this module keeps only Giraph's cost semantics.
 
 The contract, verified by ``tests/test_bulk_equivalence.py``: a bulk
 run produces *bit-identical* outputs and cost profiles to the scalar
@@ -25,145 +23,46 @@ path. The charge structure below therefore mirrors
 * adaptive central supersteps run everything on worker 0 with no
   barrier, exactly like the scalar engine.
 
-A program opts in by returning a :class:`BulkVertexKernel` from
-:meth:`~repro.platforms.pregel.engine.VertexProgram.bulk_step`; the
-kernel only applies to programs with a ``min`` combiner, fixed-size
-messages, no aggregators, and vote-to-halt-every-superstep semantics
-(the engine falls back to the scalar path for everything else).
+A program opts in by returning a :class:`~repro.platforms.frontier.
+MinLabelRule` from :meth:`~repro.platforms.pregel.engine.VertexProgram.
+bulk_step`; the engine runs it only while the program's ``compute``
+and ``combiner`` are the ones that declared the rule (see
+:func:`~repro.platforms.frontier.runs_kernel`).
 """
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
-from repro.algorithms.bfs import UNREACHABLE
 from repro.core.workload import fixpoint_round_bound
+from repro.platforms.frontier import (
+    MinLabelRule,
+    charge_ops,
+    charge_pair_messages,
+    csr_gather,
+    min_by_key,
+)
 
-__all__ = [
-    "BulkVertexKernel",
-    "BFSBulkKernel",
-    "ConnBulkKernel",
-    "BulkSuperstepRunner",
-    "PageRankBulkRunner",
-]
-
-
-class BulkVertexKernel(abc.ABC):
-    """Vectorized counterpart of a :class:`VertexProgram`'s compute.
-
-    Kernels operate on dense vertex indices (positions in
-    ``graph.vertices``) and integer-valued numpy arrays. The runner
-    owns all cost accounting; a kernel only transforms values and
-    decides who sends what.
-    """
-
-    #: Receiver-side reduction over combined messages (min semantics).
-    reduce = np.minimum
-
-    @abc.abstractmethod
-    def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Dense initial value array (one entry per vertex id)."""
-
-    @abc.abstractmethod
-    def compute(
-        self,
-        superstep: int,
-        values: np.ndarray,
-        frontier: np.ndarray,
-        merged: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One whole superstep over the compute set.
-
-        ``frontier`` holds the dense indices of the vertices computing
-        this superstep (all vertices at superstep 0, message targets
-        afterwards) and ``merged`` the combined message per frontier
-        vertex (``None`` at superstep 0). Mutates ``values`` in place
-        and returns ``(senders, send_values)``: the dense indices that
-        send to their out-neighbors and the value each one sends.
-        """
-
-
-class BFSBulkKernel(BulkVertexKernel):
-    """Vectorized BFS frontier expansion (min combiner).
-
-    Mirrors :class:`~repro.platforms.pregel.programs.BFSProgram`: the
-    source seeds distance 0 at superstep 0; afterwards unreached
-    message targets adopt the merged (minimum) distance and forward
-    ``distance + 1``.
-    """
-
-    def __init__(self, source: int):
-        self.source = source
-        self._source_idx: int | None = None
-
-    def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """All vertices start unreached; remembers the source index."""
-        position = int(np.searchsorted(vertex_ids, self.source))
-        self._source_idx = (
-            position
-            if position < len(vertex_ids)
-            and vertex_ids[position] == self.source
-            else None
-        )
-        return np.full(len(vertex_ids), UNREACHABLE, dtype=np.int64)
-
-    def compute(self, superstep, values, frontier, merged):
-        """One BFS superstep (see :class:`BulkVertexKernel`)."""
-        empty = np.empty(0, dtype=np.int64)
-        if superstep == 0:
-            if self._source_idx is None:
-                return empty, empty
-            values[self._source_idx] = 0
-            return (
-                np.array([self._source_idx], dtype=np.int64),
-                np.array([1], dtype=np.int64),
-            )
-        fresh = values[frontier] == UNREACHABLE
-        newly = frontier[fresh]
-        values[newly] = merged[fresh]
-        return newly, merged[fresh] + 1
-
-
-class ConnBulkKernel(BulkVertexKernel):
-    """Vectorized HashMin label propagation (min combiner).
-
-    Mirrors :class:`~repro.platforms.pregel.programs.ConnProgram`:
-    every vertex broadcasts its own label at superstep 0; afterwards a
-    vertex adopts and re-broadcasts any strictly smaller merged label.
-    """
-
-    def initial_values(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Every vertex starts labeled with its own id."""
-        return vertex_ids.astype(np.int64, copy=True)
-
-    def compute(self, superstep, values, frontier, merged):
-        """One HashMin superstep (see :class:`BulkVertexKernel`)."""
-        if superstep == 0:
-            return frontier, values[frontier].copy()
-        adopt = merged < values[frontier]
-        newly = frontier[adopt]
-        values[newly] = merged[adopt]
-        return newly, merged[adopt]
+__all__ = ["BulkSuperstepRunner", "PageRankBulkRunner"]
 
 
 class BulkSuperstepRunner:
-    """Drives a :class:`BulkVertexKernel` with exact scalar-path costs.
+    """Drives a :class:`~repro.platforms.frontier.MinLabelRule` with
+    exact scalar-path costs.
 
     Instantiated by :meth:`PregelEngine.run` when the program offers a
-    kernel and the engine's bulk path is enabled; shares the engine's
+    rule and the engine's bulk path is enabled; shares the engine's
     meter, partition map, and queued-message bookkeeping so that
     memory accounting (including the final release) matches the
     scalar path bit for bit.
     """
 
-    def __init__(self, engine, program, kernel: BulkVertexKernel):
+    def __init__(self, engine, program, rule: MinLabelRule | None):
         from repro.platforms.pregel.engine import MESSAGE_BYTES
 
         self.engine = engine
         self.program = program
-        self.kernel = kernel
+        self.rule = rule
         graph = engine.graph
         self.ids = graph.vertices
         self.offsets, self.targets = graph.csr()
@@ -178,11 +77,13 @@ class BulkSuperstepRunner:
         """Execute to halting; returns a scalar-identical result."""
         from repro.platforms.pregel.engine import PregelResult
 
-        engine, meter, program = self.engine, self.engine.meter, self.program
-        values = self.kernel.initial_values(self.ids)
+        engine, meter, program, rule = (
+            self.engine, self.engine.meter, self.program, self.rule
+        )
+        values, seeds, seed_labels = rule.seeded(self.ids)
 
         meter.begin_round("init")
-        self._charge_ops(np.bincount(self.workers, minlength=self.num_workers))
+        charge_ops(meter, np.bincount(self.workers, minlength=self.num_workers))
         meter.end_round(active_vertices=self.n)
 
         frontier = np.arange(self.n, dtype=np.int64)
@@ -203,10 +104,11 @@ class BulkSuperstepRunner:
             )
             computed = len(frontier)
             self._charge_compute(frontier, central, messages=min(superstep, 1))
-            senders, send_values = self.kernel.compute(
-                superstep, values, frontier, merged
-            )
-            frontier, merged = self._deliver(senders, send_values, central)
+            if superstep == 0:
+                senders, labels = seeds, seed_labels
+            else:
+                senders, labels = rule.relax(values, frontier, merged)
+            frontier, merged = self._deliver(senders, labels + rule.hop, central)
             meter.end_round(active_vertices=computed)
             superstep += 1
         else:
@@ -216,21 +118,12 @@ class BulkSuperstepRunner:
 
         self._release_queued()
         return PregelResult(
-            values={
-                int(vertex): int(value)
-                for vertex, value in zip(self.ids, values)
-            },
+            values=dict(zip(self.ids.tolist(), values.tolist())),
             supersteps=superstep,
             aggregated={},
         )
 
     # -- charging helpers ---------------------------------------------
-
-    def _charge_ops(self, ops_per_worker: np.ndarray) -> None:
-        """Charge precomputed per-worker op tallies in bulk."""
-        meter = self.engine.meter
-        for worker in np.nonzero(ops_per_worker)[0]:
-            meter.charge_compute_bulk(int(worker), float(ops_per_worker[worker]))
 
     def _charge_compute(
         self, frontier: np.ndarray, central: bool, messages: int
@@ -243,77 +136,60 @@ class BulkSuperstepRunner:
             ops = np.bincount(
                 self.workers[frontier], minlength=self.num_workers
             ) * (1 + messages)
-        self._charge_ops(ops)
+        charge_ops(self.engine.meter, ops)
 
     def _deliver(
-        self, senders: np.ndarray, send_values: np.ndarray, central: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+        self, senders: np.ndarray, offers: np.ndarray, central: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Expand sends over the CSR, charge them, run the barrier.
 
         Returns the next superstep's ``(frontier, merged)``.
         """
-        if len(senders):
-            starts = self.offsets[senders]
-            counts = self.offsets[senders + 1] - starts
-            total = int(counts.sum())
-        else:
-            total = 0
-        if total == 0:
-            self._barrier_memory(np.empty(0, dtype=np.int64), central)
-            return np.empty(0, dtype=np.int64), None
-
-        bounds = np.cumsum(counts)
-        positions = np.arange(total, dtype=np.int64)
-        positions += np.repeat(starts - (bounds - counts), counts)
+        positions, counts = csr_gather(self.offsets, senders)
         flat_dst = self.targets[positions]
-        flat_values = np.repeat(send_values, counts)
         if central:
-            flat_src_w = np.zeros(total, dtype=np.int64)
+            flat_src_w = np.zeros(len(positions), dtype=np.int64)
         else:
             flat_src_w = np.repeat(self.workers[senders], counts)
 
         # Sender-side combining: one wire message per distinct
         # (target, source worker) pair, one combine op per duplicate.
-        key = flat_dst * self.num_workers + flat_src_w
-        unique_keys, group_sizes = np.unique(key, return_counts=True)
-        pair_dst = unique_keys // self.num_workers
-        pair_src_w = unique_keys % self.num_workers
+        pair_keys, pair_offers, group_sizes = min_by_key(
+            flat_dst * self.num_workers + flat_src_w,
+            np.repeat(offers, counts),
+            sizes=True,
+        )
+        pair_dst = pair_keys // self.num_workers
+        pair_src_w = pair_keys % self.num_workers
         pair_dst_w = (
             np.zeros(len(pair_dst), dtype=np.int64)
             if central
             else self.workers[pair_dst]
         )
         self._charge_messages(pair_src_w, pair_dst_w)
-        extra = np.bincount(
-            pair_src_w,
-            weights=(group_sizes - 1).astype(np.float64),
-            minlength=self.num_workers,
+        charge_ops(
+            self.engine.meter,
+            np.bincount(
+                pair_src_w,
+                weights=(group_sizes - 1).astype(np.float64),
+                minlength=self.num_workers,
+            ),
         )
-        self._charge_ops(extra)
         self._queue_memory(pair_dst_w)
 
-        # Receiver-side merge: reduce all values aimed at each target.
-        order = np.argsort(flat_dst, kind="stable")
-        sorted_dst = flat_dst[order]
-        new_frontier, first = np.unique(sorted_dst, return_index=True)
-        merged = self.kernel.reduce.reduceat(flat_values[order], first)
+        # Receiver-side merge of the per-worker combined messages.
+        new_frontier, merged = min_by_key(pair_dst, pair_offers)
         self._barrier_memory(new_frontier, central)
         return new_frontier, merged
 
     def _charge_messages(
         self, src_workers: np.ndarray, dst_workers: np.ndarray
     ) -> None:
-        """Bulk-charge one message per (src, dst) worker-pair member."""
-        meter = self.engine.meter
-        pair = src_workers * self.num_workers + dst_workers
-        pair_counts = np.bincount(pair, minlength=self.num_workers ** 2)
-        for index in np.nonzero(pair_counts)[0]:
-            meter.charge_messages_bulk(
-                int(index) // self.num_workers,
-                int(index) % self.num_workers,
-                int(pair_counts[index]),
-                self.payload,
-            )
+        """One ``message_bytes`` message per (src, dst) worker pair."""
+        charge_pair_messages(
+            self.engine.meter, src_workers, dst_workers, self.num_workers,
+            self.payload,
+        )
 
     def _queue_memory(self, dst_workers: np.ndarray) -> None:
         """Allocate queued-message buffers on the receiving workers."""
@@ -362,7 +238,7 @@ class PageRankBulkRunner(BulkSuperstepRunner):
     """
 
     def __init__(self, engine, program):
-        super().__init__(engine, program, kernel=None)
+        super().__init__(engine, program, rule=None)
 
     def run(self):
         """Execute ``iterations`` update rounds; scalar-identical."""
@@ -373,7 +249,7 @@ class PageRankBulkRunner(BulkSuperstepRunner):
         damping, iterations = program.damping, program.iterations
 
         meter.begin_round("init")
-        self._charge_ops(np.bincount(self.workers, minlength=num_workers))
+        charge_ops(meter, np.bincount(self.workers, minlength=num_workers))
         meter.end_round(active_vertices=n)
         if n == 0:
             return PregelResult(values={}, supersteps=0, aggregated={})
@@ -397,11 +273,11 @@ class PageRankBulkRunner(BulkSuperstepRunner):
         for superstep in range(iterations + 1):
             meter.begin_round(f"superstep-{superstep}", barrier=True)
             if superstep == 0:
-                self._charge_ops(vertex_ops)
+                charge_ops(meter, vertex_ops)
             else:
                 # One op per vertex plus one per digested message
                 # (each vertex receives exactly its in-degree shares).
-                self._charge_ops(vertex_ops + message_ops)
+                charge_ops(meter, vertex_ops + message_ops)
                 accumulated = np.zeros(n, dtype=np.float64)
                 np.add.at(accumulated, flat_dst, shares)
                 values = base + damping * accumulated

@@ -28,6 +28,8 @@ import numpy as np
 from repro.core.cost import ClusterSpec, CostMeter
 from repro.core.workload import fixpoint_round_bound
 from repro.graph.graph import Graph
+from repro.platforms.frontier import runs_kernel
+from repro.platforms.hashing import hash_worker as partition_of, hash_workers
 
 __all__ = ["VertexProgram", "VertexContext", "PregelEngine", "partition_of"]
 
@@ -38,12 +40,9 @@ EDGE_BYTES = 24.0
 #: Queued message overhead on top of the payload.
 MESSAGE_BYTES = 16.0
 
-_KNUTH = 2654435761
-
-
-def partition_of(vertex: int, num_workers: int) -> int:
-    """Giraph-style hash partitioning of vertices onto workers."""
-    return ((vertex * _KNUTH) & 0xFFFFFFFF) % num_workers
+#: The scalar hooks a bulk rule or runner reproduces (see
+#: :func:`~repro.platforms.frontier.runs_kernel`).
+SCALAR_HOOKS = ("compute", "combiner", "initial_value", "message_size")
 
 class VertexProgram(abc.ABC):
     """A Pregel computation: what every vertex runs each superstep."""
@@ -88,22 +87,23 @@ class VertexProgram(abc.ABC):
         return None
 
     def bulk_step(self):
-        """Optional vectorized whole-superstep kernel.
+        """Optional min-label rule the whole superstep vectorizes to.
 
-        Programs whose compute is a pure function of the merged inbox
-        (min combiner, fixed message size, no aggregators,
-        vote-to-halt every superstep) may return a
-        :class:`~repro.platforms.pregel.bulk.BulkVertexKernel`; the
-        engine then executes supersteps as numpy frontier operations
-        with bit-identical cost accounting. The default ``None`` keeps
-        the scalar per-vertex path.
+        Min-label programs (BFS, CONN: ``min`` combiner, fixed message
+        size, no aggregators, vote-to-halt every superstep) return a
+        :class:`~repro.platforms.frontier.MinLabelRule`; the engine
+        then executes supersteps as numpy frontier operations with
+        bit-identical cost accounting. The default ``None`` keeps the
+        scalar per-vertex path, and so does a subclass that overrides
+        one of :data:`SCALAR_HOOKS` without declaring its own rule
+        (:func:`~repro.platforms.frontier.runs_kernel`).
         """
         return None
 
     def bulk_runner(self, engine: "PregelEngine"):
         """The vectorized executor for this program, if any.
 
-        The default wraps :meth:`bulk_step`'s kernel in the
+        The default wraps :meth:`bulk_step`'s rule in the
         frontier-shaped
         :class:`~repro.platforms.pregel.bulk.BulkSuperstepRunner`.
         Programs whose vectorized execution does not fit that shape —
@@ -114,10 +114,10 @@ class VertexProgram(abc.ABC):
         # Imported here: the bulk module depends on this one.
         from repro.platforms.pregel.bulk import BulkSuperstepRunner
 
-        kernel = self.bulk_step()
-        if kernel is None:
+        rule = self.bulk_step()
+        if rule is None:
             return None
-        return BulkSuperstepRunner(engine, self, kernel)
+        return BulkSuperstepRunner(engine, self, rule)
 
 
 @dataclass
@@ -231,14 +231,8 @@ class PregelEngine:
         vertex_ids = self.graph.vertices
         if partition is None:
             # Giraph's default hash partitioning; alternatives live in
-            # :mod:`repro.platforms.pregel.partitioning`. Computed
-            # vectorized: for non-negative ids, unsigned wraparound
-            # preserves the low 32 bits of the product, so this equals
-            # :func:`partition_of` element-wise.
-            hashed = vertex_ids.astype(np.uint64) * np.uint64(_KNUTH)
-            self._worker_array = (
-                (hashed & np.uint64(0xFFFFFFFF)) % np.uint64(spec.num_workers)
-            ).astype(np.int64)
+            # :mod:`repro.platforms.pregel.partitioning`.
+            self._worker_array = hash_workers(vertex_ids, spec.num_workers)
             self._partition_dict: dict[int, int] | None = None
         else:
             missing = set(int(v) for v in vertex_ids) - set(partition)
@@ -394,13 +388,19 @@ class PregelEngine:
 
         Programs that provide a :meth:`VertexProgram.bulk_runner`
         executor run through the vectorized superstep path (unless the
-        engine was built with ``bulk=False``); the cost profile is
+        engine was built with ``bulk=False``, or a subclass changed the
+        scalar hooks the executor reproduces); the cost profile is
         identical either way.
         """
         self._program = program
         self.load_partitions(program)
         try:
-            runner = program.bulk_runner(self) if self.bulk else None
+            runner = (
+                program.bulk_runner(self)
+                if self.bulk
+                and runs_kernel(program, ("bulk_step", "bulk_runner"), SCALAR_HOOKS)
+                else None
+            )
             if runner is not None:
                 return runner.run()
             return self._run_supersteps(program)

@@ -27,7 +27,7 @@ from repro.algorithms import evo as evo_ref
 from repro.algorithms.bfs import UNREACHABLE
 from repro.algorithms.lcc import lcc_value
 from repro.algorithms.sssp import UNREACHABLE_DISTANCE
-from repro.platforms.pregel.bulk import BFSBulkKernel, ConnBulkKernel
+from repro.platforms import frontier
 from repro.platforms.pregel.engine import VertexContext, VertexProgram
 
 __all__ = [
@@ -64,8 +64,8 @@ class BFSProgram(VertexProgram):
         return min
 
     def bulk_step(self):
-        """Vectorized frontier-expansion kernel (same semantics)."""
-        return BFSBulkKernel(self.source)
+        """The BFS min-label rule (same semantics)."""
+        return frontier.BFS(self.source)
 
     def compute(self, ctx: VertexContext, messages: list) -> None:
         """Per-vertex kernel (see :class:`VertexProgram`)."""
@@ -99,8 +99,8 @@ class ConnProgram(VertexProgram):
         return min
 
     def bulk_step(self):
-        """Vectorized HashMin propagation kernel (same semantics)."""
-        return ConnBulkKernel()
+        """The HashMin min-label rule (same semantics)."""
+        return frontier.CONN()
 
     def compute(self, ctx: VertexContext, messages: list) -> None:
         """Per-vertex kernel (see :class:`VertexProgram`)."""

@@ -5,7 +5,10 @@ Python closure call and one dict operation per record per stage. For
 these two algorithms every stage's *records* are fixed-shape integer
 pairs, so the whole loop collapses into numpy array operations — while
 the :class:`~repro.core.cost.CostMeter` event sequence is replayed
-verbatim from per-worker record counts.
+verbatim from per-worker record counts. The min-label rule, the
+min-combine and the per-worker charging come from
+:mod:`repro.platforms.frontier`; this module keeps GraphX's
+``changed`` flags, stage replay and RDD memory model.
 
 The contract, verified by ``tests/test_bulk_equivalence.py``: a bulk
 run produces *bit-identical* outputs and cost profiles to the scalar
@@ -34,28 +37,31 @@ GraphXPlatform` when built with ``bulk=True`` (the default);
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
-from repro.algorithms.bfs import UNREACHABLE
 from repro.core.workload import fixpoint_round_bound
 from repro.graph.graph import Graph
+from repro.platforms.frontier import (
+    BFS,
+    CONN,
+    MinLabelRule,
+    charge_ops,
+    charge_probes,
+    distinct,
+    min_by_key,
+)
+from repro.platforms.hashing import hash_workers
 from repro.platforms.rddgraph.graphx import GraphXGraph
 from repro.platforms.rddgraph.rdd import RECORD_CPU_OPS
 
 __all__ = [
-    "RDDBulkKernel",
-    "RDDBFSBulkKernel",
-    "RDDConnBulkKernel",
+    "MinLabelKernel",
     "RDDPageRankBulkKernel",
     "BulkPregelRunner",
     "graphx_bfs_bulk",
     "graphx_conn_bulk",
     "graphx_pagerank_bulk",
 ]
-
-_KNUTH = 2654435761
 
 #: Cached bytes of one ``(id, int)`` record (``RECORD_MEMORY_BYTES``).
 _PAIR_BYTES = 48.0
@@ -69,146 +75,55 @@ _PAIR_WIRE_BYTES = 24.0
 _VERTEX_WIRE_BYTES = 40.0
 
 
-class RDDBulkKernel(abc.ABC):
-    """Vectorized counterpart of one GraphX Pregel algorithm.
+class MinLabelKernel:
+    """GraphX BFS and CONN under one :class:`~repro.platforms.frontier.
+    MinLabelRule` (vertex value = ``(label, changed)``).
 
-    Kernels hold the dense per-vertex ``values`` and ``changed``
-    arrays the scalar algorithms encode in their vertex-value tuples;
-    the runner owns all cost accounting.
+    Mirrors :func:`~repro.platforms.rddgraph.algorithms.graphx_bfs` and
+    :meth:`GraphXGraph.connected_components`: the seeds start changed;
+    changed vertices offer ``label + hop`` along every arc; each target
+    keeps the minimum offer, and the rule decides whether it replaces
+    the target's label.
+
+    A kernel is what :class:`BulkPregelRunner` drives: ``initial``,
+    ``send_mask``, ``arc_messages``, ``merge_messages`` and
+    ``absorb`` (see :class:`RDDPageRankBulkKernel` for the other one).
     """
 
-    #: Receiver-side merge of messages per target (min semantics).
-    reduce = np.minimum
-
-    @abc.abstractmethod
-    def initial(self, vertex_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense ``(values, changed)`` arrays before the first iteration."""
-
-    @abc.abstractmethod
-    def send_mask(
-        self, values: np.ndarray, changed: np.ndarray
-    ) -> np.ndarray:
-        """Which vertices emit a message along every out-arc."""
-
-    @abc.abstractmethod
-    def message_values(self, sender_values: np.ndarray) -> np.ndarray:
-        """The message payload per sending arc, from the arc's source."""
-
-    @abc.abstractmethod
-    def absorb(
-        self,
-        values: np.ndarray,
-        changed: np.ndarray,
-        targets: np.ndarray,
-        incoming: np.ndarray,
-    ) -> None:
-        """The vertex program: fold merged messages into the state.
-
-        Mutates ``values``/``changed`` in place; vertices without
-        messages always end the iteration unchanged (scalar ``vprog``
-        returns ``changed=False`` for them).
-        """
-
-    def arc_messages(self, values: np.ndarray, senders: np.ndarray) -> np.ndarray:
-        """Payload per sending arc; ``senders`` are dense source indices.
-
-        Kernels whose payload depends on more than the sender's value
-        (PageRank divides by the sender's degree) override this.
-        """
-        return self.message_values(values[senders])
-
-    def merge_messages(
-        self,
-        payloads: np.ndarray,
-        message_targets: np.ndarray,
-        message_workers: np.ndarray,
-        num_workers: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fold message payloads per target; returns ``(targets, incoming)``.
-
-        The default replays an order-independent ``reduce`` (min
-        semantics); kernels with non-associative float merges override
-        it to reproduce the scalar ``reduce_by_key`` fold order.
-        """
-        order = np.argsort(message_targets, kind="stable")
-        targets, first = np.unique(message_targets[order], return_index=True)
-        if len(targets) == 0:
-            return targets, np.empty(0, dtype=np.int64)
-        return targets, self.reduce.reduceat(payloads[order], first)
-
-
-class RDDBFSBulkKernel(RDDBulkKernel):
-    """Vectorized GraphX BFS (value = ``(distance, changed)``).
-
-    Mirrors :func:`~repro.platforms.rddgraph.algorithms.graphx_bfs`:
-    the source starts changed at distance 0; changed, reached vertices
-    offer ``distance + 1`` along every arc; unreached targets adopt
-    the minimum offer.
-    """
-
-    def __init__(self, source: int):
-        self.source = source
+    def __init__(self, rule: MinLabelRule):
+        self.rule = rule
 
     def initial(self, vertex_ids):
-        """Source at distance 0 and changed; everyone else unreached."""
-        values = np.full(len(vertex_ids), UNREACHABLE, dtype=np.int64)
+        """Dense ``(values, changed)`` arrays: the seeds, changed."""
+        values, seeds, _ = self.rule.seeded(vertex_ids)
         changed = np.zeros(len(vertex_ids), dtype=bool)
-        position = int(np.searchsorted(vertex_ids, self.source))
-        if position < len(vertex_ids) and vertex_ids[position] == self.source:
-            values[position] = 0
-            changed[position] = True
+        changed[seeds] = True
         return values, changed
 
     def send_mask(self, values, changed):
-        """Changed *and* reached vertices broadcast their distance."""
-        return changed & (values != UNREACHABLE)
-
-    def message_values(self, sender_values):
-        """A reached sender offers ``its distance + 1``."""
-        return sender_values + 1
-
-    def absorb(self, values, changed, targets, incoming):
-        """Unreached targets adopt the merged (minimum) distance."""
-        changed[:] = False
-        fresh = values[targets] == UNREACHABLE
-        newly = targets[fresh]
-        values[newly] = incoming[fresh]
-        changed[newly] = True
-
-
-class RDDConnBulkKernel(RDDBulkKernel):
-    """Vectorized GraphX connected components (HashMin).
-
-    Mirrors :meth:`GraphXGraph.connected_components`: everyone starts
-    changed in its own component; changed vertices broadcast their
-    label; a strictly smaller merged label is adopted.
-    """
-
-    def initial(self, vertex_ids):
-        """Every vertex starts changed, labeled with its own id."""
-        return (
-            vertex_ids.astype(np.int64, copy=True),
-            np.ones(len(vertex_ids), dtype=bool),
-        )
-
-    def send_mask(self, values, changed):
-        """Vertices whose label shrank last iteration broadcast it."""
+        """Vertices whose label changed last iteration broadcast it."""
         return changed
 
-    def message_values(self, sender_values):
-        """The sender offers its current component label."""
-        return sender_values
+    def arc_messages(self, values, senders):
+        """Payload per sending arc: the sender's label plus ``hop``."""
+        return values[senders] + self.rule.hop
+
+    def merge_messages(self, payloads, message_targets, message_workers, num_workers):
+        """Minimum offer per target; returns ``(targets, incoming)``."""
+        return min_by_key(message_targets, payloads)
 
     def absorb(self, values, changed, targets, incoming):
-        """Adopt a strictly smaller merged label."""
+        """The vertex program: accepted offers replace labels.
+
+        Vertices without an accepted offer end the iteration unchanged
+        (scalar ``vprog`` returns ``changed=False`` for them).
+        """
         changed[:] = False
-        adopt = incoming < values[targets]
-        newly = targets[adopt]
-        values[newly] = incoming[adopt]
-        changed[newly] = True
+        accepted, _ = self.rule.relax(values, targets, incoming)
+        changed[accepted] = True
 
 
-class RDDPageRankBulkKernel(RDDBulkKernel):
+class RDDPageRankBulkKernel:
     """Vectorized GraphX PageRank (value = ``(rank, iteration)``).
 
     Mirrors :func:`~repro.platforms.rddgraph.algorithms.
@@ -244,10 +159,6 @@ class RDDPageRankBulkKernel(RDDBulkKernel):
         if self.iteration < self.iterations:
             return np.ones(len(values), dtype=bool)
         return np.zeros(len(values), dtype=bool)
-
-    def message_values(self, sender_values):
-        """Unused — :meth:`arc_messages` needs the sender's degree."""
-        return sender_values
 
     def arc_messages(self, values, senders):
         """Each arc carries its source's ``rank / degree`` share."""
@@ -286,19 +197,15 @@ class BulkPregelRunner:
     arrays the scalar path re-derives record by record).
     """
 
-    def __init__(self, graphx: GraphXGraph, graph: Graph, kernel: RDDBulkKernel):
+    def __init__(self, graphx: GraphXGraph, graph: Graph, kernel):
         self.context = graphx.context
         self.meter = self.context.meter
         self.kernel = kernel
         undirected = graph.to_undirected()
         self.ids = undirected.vertices
         self.num_workers = self.context.spec.num_workers
-        workers = np.uint64(self.num_workers)
-        hashed = self.ids.astype(np.uint64) * np.uint64(_KNUTH)
         #: ``_key_partition`` of every vertex id, vectorized.
-        self.vertex_workers = (
-            (hashed & np.uint64(0xFFFFFFFF)) % workers
-        ).astype(np.int64)
+        self.vertex_workers = hash_workers(self.ids, self.num_workers)
         degrees = undirected.out_degrees()
         self.arc_source = np.repeat(
             np.arange(len(self.ids), dtype=np.int64), degrees
@@ -337,7 +244,7 @@ class BulkPregelRunner:
             self._begin_stage("triplets")
             meter.charge_shuffle(0.0, count=0)  # vertex side, all local
             self._charge_counts(2 * arcs + vertices)
-            self._charge_probes(arcs)
+            charge_probes(self.meter, arcs)
             meter.end_round(active_vertices=int(arcs.sum()))
             self._allocate(_JOINED_BYTES * arcs)
             # sendMsg: one flat_map over every triplet.
@@ -354,7 +261,7 @@ class BulkPregelRunner:
             payloads = kernel.arc_messages(values, self.arc_source[arc_mask])
             self._begin_stage("mergeMsg")
             self._charge_counts(messages)
-            pair_keys = np.unique(
+            pair_keys = distinct(
                 message_targets * self.num_workers + message_workers
             )
             pair_target = pair_keys // self.num_workers
@@ -386,7 +293,7 @@ class BulkPregelRunner:
             self._begin_stage("vprog-join")
             meter.charge_shuffle(0.0, count=0)  # vertex side, all local
             self._charge_counts(2 * vertices + merged)
-            self._charge_probes(vertices)
+            charge_probes(self.meter, vertices)
             meter.end_round(active_vertices=total_vertices)
             self._allocate(_JOINED_BYTES * vertices)
             self._narrow_stage("vprog", vertices, vertices, total_vertices)
@@ -445,17 +352,7 @@ class BulkPregelRunner:
 
     def _charge_counts(self, records_per_worker: np.ndarray) -> None:
         """Charge ``records * RECORD_CPU_OPS`` per worker, batched."""
-        for worker in np.nonzero(records_per_worker)[0]:
-            self.meter.charge_compute_bulk(
-                int(worker), float(records_per_worker[worker]) * RECORD_CPU_OPS
-            )
-
-    def _charge_probes(self, probes_per_worker: np.ndarray) -> None:
-        """Charge hash-join probes as random accesses, batched."""
-        for worker in np.nonzero(probes_per_worker)[0]:
-            self.meter.charge_compute_bulk(
-                int(worker), 0.0, random_accesses=float(probes_per_worker[worker])
-            )
+        charge_ops(self.meter, records_per_worker * RECORD_CPU_OPS)
 
     def _allocate(self, bytes_per_worker: np.ndarray) -> None:
         """Materialize an RDD: cached bytes on every worker."""
@@ -472,7 +369,7 @@ def graphx_bfs_bulk(
     graphx: GraphXGraph, graph: Graph, source: int
 ) -> dict[int, int]:
     """Bulk twin of :func:`~repro.platforms.rddgraph.algorithms.graphx_bfs`."""
-    runner = BulkPregelRunner(graphx, graph, RDDBFSBulkKernel(source))
+    runner = BulkPregelRunner(graphx, graph, MinLabelKernel(BFS(source)))
     values, name = runner.run()
     runner.collect(name, _VERTEX_WIRE_BYTES)
     return {int(v): int(d) for v, d in zip(runner.ids, values)}
@@ -480,7 +377,7 @@ def graphx_bfs_bulk(
 
 def graphx_conn_bulk(graphx: GraphXGraph, graph: Graph) -> dict[int, int]:
     """Bulk twin of :func:`~repro.platforms.rddgraph.algorithms.graphx_conn`."""
-    runner = BulkPregelRunner(graphx, graph, RDDConnBulkKernel())
+    runner = BulkPregelRunner(graphx, graph, MinLabelKernel(CONN()))
     values, _name = runner.run()
     runner.map_values_stage("components")
     runner.collect("components", _PAIR_WIRE_BYTES)

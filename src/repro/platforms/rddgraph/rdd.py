@@ -30,6 +30,7 @@ import zlib
 from typing import Any, Callable, Iterable
 
 from repro.core.cost import ClusterSpec, CostMeter
+from repro.platforms.hashing import KNUTH
 
 __all__ = ["RDDContext", "RDD"]
 
@@ -47,8 +48,6 @@ SHUFFLE_RECORD_BYTES = 24.0
 #: Serialized bytes per element of a collection-valued record.
 SHUFFLE_ELEMENT_BYTES = 8.0
 
-_KNUTH = 2654435761
-
 
 def _key_partition(key: Any, num_partitions: int) -> int:
     """Deterministic hash partitioning (stable across runs).
@@ -57,9 +56,12 @@ def _key_partition(key: Any, num_partitions: int) -> int:
     builtin ``hash``, whose string salt (``PYTHONHASHSEED``) would
     place records differently in each interpreter process — the
     parallel suite runner requires identical placement everywhere.
+    Integer keys take :func:`~repro.platforms.hashing.hash_worker`'s
+    formula inline: this runs once per record of every shuffle, where a
+    second call per record measurably slows the scalar RDD path.
     """
     if isinstance(key, int):
-        return ((key * _KNUTH) & 0xFFFFFFFF) % num_partitions
+        return ((key * KNUTH) & 0xFFFFFFFF) % num_partitions
     return (zlib.crc32(repr(key).encode("utf-8")) & 0x7FFFFFFF) % num_partitions
 
 

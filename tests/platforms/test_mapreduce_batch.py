@@ -1,7 +1,7 @@
 """Unit tests for the columnar MapReduce data plane.
 
 Covers the :mod:`repro.platforms.mapreduce.batch` primitives —
-struct-of-arrays round trips, message gather/combine, repr-order
+struct-of-arrays round trips, message gather, repr-order
 permutations, the vectorized CRC32 partitioner — and the engine-level
 contract: running a batch-capable job over a :class:`RecordBatch`
 produces the identical output records, counters, and cost profile as
@@ -16,7 +16,6 @@ import pytest
 from repro.core.cost import ClusterSpec, CostMeter
 from repro.platforms.mapreduce.batch import (
     RecordBatch,
-    combine_min_messages,
     crc32_rows,
     repr_sort_permutation,
     str_key_workers,
@@ -92,28 +91,6 @@ class TestRecordBatch:
     def test_reorder_identity_returns_self(self):
         batch = make_batch()
         assert batch.reorder(np.arange(len(batch))) is batch
-
-
-class TestCombineMinMessages:
-    def test_matches_scalar_min_grouping(self):
-        rng = np.random.default_rng(3)
-        targets = rng.integers(0, 20, size=200)
-        payloads = rng.integers(-50, 50, size=200)
-        minimum, has_message = combine_min_messages(20, targets, payloads)
-        expected = {}
-        for row, value in zip(targets.tolist(), payloads.tolist()):
-            expected[row] = min(expected.get(row, value), value)
-        for row in range(20):
-            assert has_message[row] == (row in expected)
-            if row in expected:
-                assert minimum[row] == expected[row]
-
-    def test_empty(self):
-        minimum, has_message = combine_min_messages(
-            3, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-        assert minimum.tolist() == [0, 0, 0]
-        assert not has_message.any()
 
 
 class TestReprSortPermutation:

@@ -22,6 +22,10 @@ handful). "Identical" means the algorithm
 outputs, the per-round charge structure, and the profile totals
 (``simulated_seconds``, ``total_messages``, peak memory) all compare
 equal with ``==``.
+
+The bar also holds for program subclasses: a subclass that changes a
+scalar hook (the combiner, the gather sum, the reducer) must not be
+run by the kernel its parent declared.
 """
 
 import pytest
@@ -32,10 +36,16 @@ from repro.graph.generators import grid_graph, rmat_graph
 from repro.graph.graph import Graph
 from repro.platforms.dataflow.driver import StratospherePlatform
 from repro.platforms.gas.driver import GraphLabPlatform
+from repro.platforms.gas.engine import GASEngine
+from repro.platforms.gas.programs import GASConnProgram
 from repro.platforms.gpu.driver import MedusaPlatform
-from repro.platforms.gpu.engine import gpu_device_spec
+from repro.platforms.gpu.engine import GPUEngine, gpu_device_spec
+from repro.platforms.mapreduce import driver as mapreduce_driver
 from repro.platforms.mapreduce.driver import MapReducePlatform
+from repro.platforms.mapreduce.jobs import ConnIterationJob
 from repro.platforms.pregel.driver import GiraphPlatform
+from repro.platforms.pregel.engine import PregelEngine
+from repro.platforms.pregel.programs import ConnProgram
 from repro.platforms.rddgraph.driver import GraphXPlatform
 
 #: Every platform with a bulk toggle.
@@ -161,3 +171,65 @@ def test_mapreduce_bulk_covers_every_job(algorithm):
 def test_bulk_is_the_default(platform_cls):
     # The fast path must be what the benchmark actually runs.
     assert platform_cls(_cluster(platform_cls)).bulk is True
+
+
+# -- subclassed programs: the bulk path must honour the scalar hooks --------
+
+
+class _UncombinedConn(ConnProgram):
+    """HashMin without the min combiner: every arc is a wire message."""
+
+    def combiner(self):
+        """No sender-side combining."""
+        return None
+
+
+class _MaxGatherConn(GASConnProgram):
+    """GAS CONN whose gather sum keeps the largest offered label."""
+
+    def gather_sum(self, left, right):
+        """The largest label instead of the smallest."""
+        return max(left, right)
+
+
+class _FrozenConn(ConnIterationJob):
+    """CONN iteration whose reducer ignores every offered label."""
+
+    def reduce(self, key, values, counters):
+        """Re-emit the state record unchanged."""
+        for value in values:
+            if value[0] == "A":
+                yield key, (value[1], value[2])
+
+
+def _engine_run(engine_cls, spec, program, bulk):
+    engine = engine_cls(GRAPHS["rmat-undirected"](), spec, bulk=bulk)
+    result = engine.run(program)
+    return result.values, profile_key(engine.meter.profile)
+
+
+@pytest.mark.parametrize(
+    "engine_cls, spec, program",
+    [
+        (PregelEngine, ClusterSpec.paper_distributed(), _UncombinedConn()),
+        (GPUEngine, gpu_device_spec(), _UncombinedConn()),
+        (GASEngine, ClusterSpec.paper_distributed(), _MaxGatherConn()),
+    ],
+    ids=["giraph-uncombined", "medusa-uncombined", "graphlab-max-gather"],
+)
+def test_subclassed_program_runs_its_own_hooks(engine_cls, spec, program):
+    """A subclass that changes a scalar hook is not run by the kernel."""
+    assert _engine_run(engine_cls, spec, program, True) == _engine_run(
+        engine_cls, spec, program, False
+    )
+
+
+def test_subclassed_mapreduce_job_runs_its_own_reduce(monkeypatch):
+    monkeypatch.setattr(mapreduce_driver, "ConnIterationJob", _FrozenConn)
+    graph = GRAPHS["rmat-undirected"]()
+    bulk_output, bulk_profile = _run(MapReducePlatform, True, graph, Algorithm.CONN)
+    scalar_output, scalar_profile = _run(
+        MapReducePlatform, False, graph, Algorithm.CONN
+    )
+    assert bulk_output == scalar_output == {v: v for v in bulk_output}
+    assert bulk_profile == scalar_profile
